@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from . import compositions, dyck, forests, operators, partitions, polynomial
 from .errors import SelfCheckError
@@ -31,49 +30,48 @@ def vec_text(p) -> str:
     return "(" + ",".join(str(e) for e in p) + ")"
 
 
-def vec_csv(p) -> str:
-    return " ".join(str(e) for e in p)
-
-
-def parse_int_vector(s: str) -> tuple[int, ...]:
+def int_vector(s: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers; "" and "()" are the empty vector."""
     s = s.strip()
     if s in ("", "()"):
         return ()
     return tuple(int(x) for x in s.split(","))
 
 
-@dataclass
-class Report:
-    command: str
-    checks: list[dict] = field(default_factory=list)
-    elapsed_ms: int = 0
-
-    @property
-    def status(self) -> str:
-        return "pass" if all(c["ok"] for c in self.checks) else "fail"
-
-    def first_failure(self) -> dict | None:
-        for c in self.checks:
-            if not c["ok"]:
-                return c
-        return None
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "status": self.status, "checks": self.checks,
-                "elapsed_ms": self.elapsed_ms}
+def positive_int(s: str) -> int:
+    """argparse type: an integer >= 1."""
+    n = int(s)
+    if n < 1:
+        raise ValueError(s)
+    return n
 
 
-def emit_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def emit(args, payload, table, text) -> None:
+    """Print a command's result in the format chosen by --format.
 
-
-def out(args, text: str) -> None:
-    s = text.replace("∘", "o") if args.ascii else text
-    print(s)
+    The three arguments are zero-argument callables, so each format builds
+    only what it prints: payload() returns the JSON value, table() the CSV
+    rows as dicts (the header is the first row's keys; list and tuple cells
+    are space-joined), text() the text lines.  With --ascii the empty root
+    '∘' prints as 'o'.
+    """
+    if args.format == "json":
+        s = json.dumps(payload(), indent=2)
+    elif args.format == "csv":
+        rows = table()
+        vectors = [j for j, v in enumerate(rows[0].values()) if isinstance(v, (list, tuple))]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(rows[0]))
+        for row in rows:
+            cells = list(row.values())
+            for j in vectors:
+                cells[j] = " ".join(map(str, cells[j]))
+            writer.writerow(cells)
+        s = buf.getvalue().rstrip("\n")
+    else:
+        s = "\n".join(text())
+    print(s.replace("∘", "o") if args.ascii else s)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +138,8 @@ def check_pullback_threeway(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 9) + 1):
         coeffs = compositions.pullback_coefficients(k, check=False)
-        census = partitions.shape_census(k)
-        agree = all(
-            coeffs.get(lam, 0) == compositions.coeff_clambda(lam) == census.get(lam, 0)
-            for lam in compositions.enumerate_compositions(k)
-        )
+        agree = all(iterated == closed == counted
+                    for _, iterated, closed, counted in compositions.pullback_threeway(k, coeffs))
         pairs.append(((k, "threeway"), True, agree))
         pairs.append(((k, "bell_total"), partitions.bell(k), sum(coeffs.values())))
         if k < len(BELL):
@@ -305,85 +300,54 @@ def _run_check(name: str, max_k: int) -> list[dict]:
 
 
 def cmd_dyck(args) -> int:
-    rows = []
-    for p in dyck.enumerate_dyck(args.k):
-        rows.append({"p": list(p), "c": dyck.coeff_cp(p)} if args.coeffs else {"p": list(p)})
-    if args.format == "json":
-        out(args, json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        header = ["p", "c"] if args.coeffs else ["p"]
-        out(args, emit_csv(header, [[vec_csv(r["p"])] + ([r["c"]] if args.coeffs else []) for r in rows]).rstrip("\n"))
-    else:
-        for r in rows:
-            line = vec_text(r["p"])
-            if args.coeffs:
-                line += f" {r['c']}"
-            out(args, line)
+    rows = [{"p": p, "c": dyck.coeff_cp(p)} if args.coeffs else {"p": p} for p in dyck.enumerate_dyck(args.k)]
+    emit(args, lambda: rows, lambda: rows,
+         lambda: [vec_text(r["p"]) + (f" {r['c']}" if args.coeffs else "") for r in rows])
     return 0
 
 
 def cmd_coeff(args) -> int:
-    p = parse_int_vector(args.p)
+    p = args.p
     deficits = dyck.deficit_profile(p)
     value = dyck.coeff_cp(p)
-    if args.format == "json":
-        out(args, json.dumps({"p": list(p), "deficits": list(deficits), "c": value}, indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["p", "deficits", "c"], [[vec_csv(p), vec_csv(deficits), value]]).rstrip("\n"))
-    else:
+
+    def text():
         width = max(len(str(e)) for e in deficits + p) if p else 1
         js = " ".join(f"{j:>{width}}" for j in range(len(p) + 1))
         ps = " " * (width + 1) + " ".join(f"{e:>{width}}" for e in p)
         ds = " ".join(f"{e:>{width}}" for e in deficits)
-        out(args, f"j     | {js}")
-        out(args, f"p_j   |{ps if p else ''}")
-        out(args, f"D_P,j | {ds}")
-        out(args, f"C_P = {value}")
+        return [f"j     | {js}", f"p_j   |{ps if p else ''}", f"D_P,j | {ds}", f"C_P = {value}"]
+
+    data = {"p": p, "deficits": deficits, "c": value}
+    emit(args, lambda: data, lambda: [data], text)
     return 0
 
 
 def cmd_clambda(args) -> int:
-    lam = parse_int_vector(args.parts)
-    value = compositions.coeff_clambda(lam)
-    if args.format == "json":
-        out(args, json.dumps({"lambda": list(lam), "c": value}, indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["lambda", "c"], [[vec_csv(lam), value]]).rstrip("\n"))
-    else:
-        out(args, str(value))
+    value = compositions.coeff_clambda(args.parts)
+    data = {"lambda": args.parts, "c": value}
+    emit(args, lambda: data, lambda: [data], lambda: [str(value)])
     return 0
 
 
 def cmd_pullback(args) -> int:
     k = args.k
     coeffs = compositions.pullback_coefficients(k, check=False)
-    census = partitions.shape_census(k)
-    rows = []
-    all_ok = True
-    for lam in compositions.enumerate_compositions(k):
-        iterated = coeffs.get(lam, 0)
-        closed = compositions.coeff_clambda(lam)
-        counted = census.get(lam, 0)
-        ok = iterated == closed == counted
-        all_ok = all_ok and ok
-        rows.append({"lambda": list(lam), "iterated": iterated, "formula": closed,
-                     "partitions": counted, "ok": ok})
+    rows = [{"lambda": list(lam), "iterated": iterated, "formula": closed, "partitions": counted,
+             "ok": iterated == closed == counted}
+            for lam, iterated, closed, counted in compositions.pullback_threeway(k, coeffs)]
     total = sum(coeffs.values())
     bell = partitions.bell(k)
-    total_ok = total == bell
-    if args.format == "json":
-        out(args, json.dumps({"k": k, "rows": rows, "total": total, "bell": bell,
-                              "ok": all_ok and total_ok}, indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["lambda", "iterated", "formula", "partitions", "ok"],
-                           [[vec_csv(r["lambda"]), r["iterated"], r["formula"], r["partitions"], r["ok"]]
-                            for r in rows]).rstrip("\n"))
-    else:
+    ok = total == bell and all(r["ok"] for r in rows)
+
+    def text():
         for r in rows:
-            out(args, f"{vec_text(r['lambda']):<16} iterated={r['iterated']:<8} formula={r['formula']:<8} "
-                      f"partitions={r['partitions']:<8} {'ok' if r['ok'] else 'MISMATCH'}")
-        out(args, f"total = {total}, bell({k}) = {bell}, {'ok' if total_ok else 'MISMATCH'}")
-    if not (all_ok and total_ok):
+            yield (f"{vec_text(r['lambda']):<16} iterated={r['iterated']:<8} formula={r['formula']:<8} "
+                   f"partitions={r['partitions']:<8} {'ok' if r['ok'] else 'MISMATCH'}")
+        yield f"total = {total}, bell({k}) = {bell}, {'ok' if total == bell else 'MISMATCH'}"
+
+    emit(args, lambda: {"k": k, "rows": rows, "total": total, "bell": bell, "ok": ok}, lambda: rows, text)
+    if not ok:
         first = next((r for r in rows if not r["ok"]), {"lambda": "total"})
         print(f"verification failed, first witness: {first}", file=sys.stderr)
         return 1
@@ -397,23 +361,21 @@ def cmd_sigma(args) -> int:
               "without --force", file=sys.stderr)
         return 2
     poly = polynomial.sigma_formula(k)
-    payload = {"k": k, "terms": poly.to_json_terms()}
     equal = witness = None
+    check = {}
     if args.check:
         equal, witness = polynomial.poly_equal(poly, polynomial.sigma_bruteforce(k))
-        payload["check"] = {"equal": equal,
-                            "witness": None if witness is None else
-                            {"b": witness[0][0], "p": list(witness[0][1]),
-                             "formula": witness[1], "bruteforce": witness[2]}}
-    if args.format == "json":
-        out(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["b", "p", "c"], [[t["b"], vec_csv(t["p"]), t["c"]] for t in poly.to_json_terms()]).rstrip("\n"))
-    else:
-        out(args, str(poly))
+        check["check"] = {"equal": equal,
+                          "witness": None if witness is None else
+                          {"b": witness[0][0], "p": list(witness[0][1]),
+                           "formula": witness[1], "bruteforce": witness[2]}}
+
+    def text():
+        yield str(poly)
         if args.check:
-            out(args, f"check vs forest sum over {math.factorial(k + 1)} forests: "
-                      f"{'equal' if equal else 'MISMATCH'}")
+            yield f"check vs forest sum over {math.factorial(k + 1)} forests: {'equal' if equal else 'MISMATCH'}"
+
+    emit(args, lambda: {"k": k, "terms": poly.to_json_terms(), **check}, poly.to_json_terms, text)
     if args.check and not equal:
         print(f"verification failed, first differing term: {witness}", file=sys.stderr)
         return 1
@@ -426,64 +388,56 @@ def cmd_lie(args) -> int:
         print(f"lie enumerates (k+1)! forest terms; refusing k={k} > {FOREST_ENUM_LIMIT} "
               "without --force", file=sys.stderr)
         return 2
-    try:
-        expansion = operators.lie_chain_oracle(k) if args.check else operators.expand_lie_forests(k)
-    except SelfCheckError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        out(args, json.dumps({"k": k, "terms": expansion.to_json()}, indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["key", "sign"], [[key, sign] for key, sign in expansion.items()]).rstrip("\n"))
-    else:
+    expansion = operators.lie_chain_oracle(k) if args.check else operators.expand_lie_forests(k)
+
+    def text():
         for key, sign in expansion.items():
-            out(args, f"{'+' if sign > 0 else '-'} {key}")
-        out(args, f"{len(expansion)} terms" + (", oracle agrees with the closed form" if args.check else ""))
+            yield f"{'+' if sign > 0 else '-'} {key}"
+        yield f"{len(expansion)} terms" + (", oracle agrees with the closed form" if args.check else "")
+
+    emit(args, lambda: {"k": k, "terms": expansion.to_json()}, expansion.to_json, text)
     return 0
 
 
 def cmd_estimate(args) -> int:
     rows = operators.estimate_certificate(args.k, args.h)
-    if args.format == "json":
-        out(args, json.dumps([r.to_json() for r in rows], indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["p", "h", "coeff", "a_order", "xi_orders"],
-                           [[vec_csv(r.p), vec_csv(r.h), r.coeff, r.a_order, vec_csv(r.xi_orders)]
-                            for r in rows]).rstrip("\n"))
-    else:
-        out(args, f"{'P':<14} {'H':<14} {'coeff':<8} {'a_order':<8} xi_orders")
+
+    def text():
+        yield f"{'P':<14} {'H':<14} {'coeff':<8} {'a_order':<8} xi_orders"
         for r in rows:
-            out(args, f"{vec_text(r.p):<14} {vec_text(r.h):<14} {r.coeff:<8} {r.a_order:<8} {vec_text(r.xi_orders)}")
+            yield f"{vec_text(r.p):<14} {vec_text(r.h):<14} {r.coeff:<8} {r.a_order:<8} {vec_text(r.xi_orders)}"
+
+    def table():
+        return [vars(r) for r in rows]  # the dataclass fields, in column order
+
+    emit(args, table, table, text)
     return 0
 
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
-    report = Report(command="verify")
     names = [name for name, _ in CHECKS]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_check, names, [args.max_k] * len(names)))
     else:
         results = [_run_check(name, args.max_k) for name in names]
-    for rows in results:
-        report.checks.extend(rows)
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    if args.format == "json":
-        out(args, json.dumps(report.to_json(), indent=2))
-    elif args.format == "csv":
-        out(args, emit_csv(["name", "expected", "actual", "ok"],
-                           [[c["name"], c["expected"], c["actual"], c["ok"]] for c in report.checks]).rstrip("\n"))
-    else:
-        for c in report.checks:
-            mark = "ok  " if c["ok"] else "FAIL"
-            line = f"[{mark}] {c['name']}"
-            if not c["ok"]:
-                line += f": expected {c['expected']}, got {c['actual']}"
-            out(args, line)
-        out(args, f"{report.status}: {len(report.checks)} checks in {report.elapsed_ms} ms")
-    if report.status != "pass":
-        first = report.first_failure()
+    checks = [c for rows in results for c in rows]
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    first = next((c for c in checks if not c["ok"]), None)
+    status = "pass" if first is None else "fail"
+
+    def text():
+        for c in checks:
+            if c["ok"]:
+                yield f"[ok  ] {c['name']}"
+            else:
+                yield f"[FAIL] {c['name']}: expected {c['expected']}, got {c['actual']}"
+        yield f"{status}: {len(checks)} checks in {elapsed_ms} ms"
+
+    emit(args, lambda: {"command": "verify", "status": status, "checks": checks, "elapsed_ms": elapsed_ms},
+         lambda: checks, text)
+    if first is not None:
         print(f"verification failed, first witness: {first['name']} "
               f"(expected {first['expected']}, got {first['actual']})", file=sys.stderr)
         return 1
@@ -498,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json", "csv"], default="text",
                         help="output serialization (values are format-independent)")
     common.add_argument("--ascii", action="store_true", help="render the empty root as 'o'")
-    common.add_argument("--jobs", type=int, default=int(os.environ.get("FORESTLIE_JOBS", "1")),
-                        help="parallel workers for verify (default from FORESTLIE_JOBS)")
 
     parser = argparse.ArgumentParser(prog="forestlie",
                                      description="Exact combinatorics of Dyck vectors, decreasing "
@@ -513,11 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dyck)
 
     p = sub.add_parser("coeff", parents=[common], help="coefficient and deficit table of one vector")
-    p.add_argument("--p", required=True, help="comma-separated entries, e.g. 0,1,0,1,3,0,1")
+    p.add_argument("--p", type=int_vector, required=True, help="comma-separated entries, e.g. 0,1,0,1,3,0,1")
     p.set_defaults(fn=cmd_coeff)
 
     p = sub.add_parser("clambda", parents=[common], help="pull-back coefficient of one composition")
-    p.add_argument("--lambda", dest="parts", required=True, help="comma-separated parts, e.g. 1,2")
+    p.add_argument("--lambda", dest="parts", type=int_vector, required=True,
+                   help="comma-separated parts, e.g. 1,2")
     p.set_defaults(fn=cmd_clambda)
 
     p = sub.add_parser("pullback", parents=[common],
@@ -547,16 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
     p.add_argument("--max-k", type=int, default=99,
                    help="global size ceiling; each suite also has its own cap")
+    p.add_argument("--jobs", type=positive_int, default=os.environ.get("FORESTLIE_JOBS", "1"),
+                   help="parallel worker processes (default from FORESTLIE_JOBS, else 1)")
     p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SelfCheckError as exc:

@@ -105,11 +105,7 @@ def pullback_coefficients(k: int, check: bool = True) -> dict[tuple[int, ...], i
     if check:
         from . import partitions
 
-        census = partitions.shape_census(k)
-        for lam in enumerate_compositions(k):
-            iterated = state.get(lam, 0)
-            closed = coeff_clambda(lam)
-            counted = census.get(lam, 0)
+        for lam, iterated, closed, counted in pullback_threeway(k, state):
             if not (iterated == closed == counted):
                 raise SelfCheckError(
                     f"coefficient of {lam} disagrees: iterated {iterated}, formula {closed}, partitions {counted}"
@@ -118,6 +114,17 @@ def pullback_coefficients(k: int, check: bool = True) -> dict[tuple[int, ...], i
         if total != partitions.bell(k):
             raise SelfCheckError(f"coefficient total {total} is not the Bell number {partitions.bell(k)}")
     return state
+
+
+def pullback_threeway(k: int, coeffs: dict[tuple[int, ...], int]) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Rows (lambda, iterated, formula, partitions) over the compositions of k:
+    coeffs[lambda] from pullback_coefficients(k), coeff_clambda(lambda), and
+    the number of set partitions of [k] with shape lambda.  All three agree."""
+    from . import partitions
+
+    census = partitions.shape_census(k)
+    return [(lam, coeffs.get(lam, 0), coeff_clambda(lam), census.get(lam, 0))
+            for lam in enumerate_compositions(k)]
 
 
 def enumerate_paths(k: int) -> Iterator[list[tuple[int, ...]]]:

@@ -1,14 +1,45 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from forestlie import cli, polynomial
+from forestlie import cli, compositions, polynomial
+from forestlie.errors import SelfCheckError
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Exact stdout of each command in each format; verify's elapsed time is
+# masked to 0.
+GOLDEN_CASES = {
+    "dyck": ["dyck", "--k", "2", "--coeffs"],
+    "coeff": ["coeff", "--p", "0,0,2,1,1"],
+    "clambda": ["clambda", "--lambda", "1,2"],
+    "pullback": ["pullback", "--k", "3"],
+    "sigma": ["sigma", "--k", "2", "--check"],
+    "lie": ["lie", "--k", "1"],
+    "lie-ascii": ["lie", "--k", "1", "--ascii"],
+    "estimate": ["estimate", "--k", "1", "--h", "1"],
+    "verify": ["verify", "--max-k", "1"],
+}
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_output(capsys, case, fmt):
+    code, out, _ = run(capsys, *GOLDEN_CASES[case], "--format", fmt)
+    assert code == 0
+    out = re.sub(r'("elapsed_ms": |checks in )\d+', r"\g<1>0", out)
+    assert out == (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
 
 
 def test_coeff_worked_example(capsys):
@@ -133,13 +164,39 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "first witness" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dyck"])  # missing --k
     assert exc.value.code == 2
     code, _, err = run(capsys, "coeff", "--p", "2,0")
     assert code == 2
     assert "not a Dyck vector" in err
+    for argv, flag in [(["coeff", "--p", "0,1,x"], "--p"),
+                       (["clambda", "--lambda", "1,x"], "--lambda"),
+                       (["dyck", "--k", "2", "--jobs", "2"], "--jobs")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert flag in err and "Traceback" not in err, argv
+    monkeypatch.setenv("FORESTLIE_JOBS", "abc")
+    code, out, err = run(capsys, "verify", "--max-k", "1")
+    assert (code, out) == (2, "")
+    assert "--jobs" in err and "Traceback" not in err
+    code, _, _ = run(capsys, "dyck", "--k", "2")
+    assert code == 0
+
+
+def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
+    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)  # verify must run in this process
+    right = compositions.coeff_clambda
+    monkeypatch.setattr(compositions, "coeff_clambda", lambda lam: right(lam) + (tuple(lam) == (1, 2)))
+    code, _, err = run(capsys, "pullback", "--k", "3")
+    assert code == 1
+    assert "first witness" in err
+    with pytest.raises(SelfCheckError):
+        compositions.pullback_coefficients(3, check=True)
+    code, _, err = run(capsys, "verify", "--max-k", "3")
+    assert code == 1
+    assert "first witness: pullback[" in err
 
 
 def test_jobs_env_default(capsys, monkeypatch):
