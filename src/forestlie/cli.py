@@ -117,10 +117,10 @@ def check_dyck_counts(max_k: int) -> list[dict]:
 
 
 def check_dyck_two_formulas(max_k: int) -> list[dict]:
-    # coeff_cp raises if the two product forms ever disagree
+    # the walk raises if the two product forms ever disagree
     pairs = []
     for k in range(min(max_k, 10) + 1):
-        evaluated = sum(1 for p in dyck.enumerate_dyck(k) if dyck.coeff_cp(p) >= 1)
+        evaluated = sum(1 for _, _, c in dyck.walk(k) if c >= 1)
         pairs.append(((k,), dyck.catalan(k + 1), evaluated))
     return _rows("dyck_two_formulas[k={}]", pairs)
 
@@ -300,7 +300,10 @@ def _run_check(name: str, max_k: int) -> list[dict]:
 
 
 def cmd_dyck(args) -> int:
-    rows = [{"p": p, "c": dyck.coeff_cp(p)} if args.coeffs else {"p": p} for p in dyck.enumerate_dyck(args.k)]
+    if args.coeffs:
+        rows = [{"p": p, "c": c} for p, _, c in dyck.walk(args.k)]
+    else:
+        rows = [{"p": p} for p in dyck.enumerate_dyck(args.k)]
     emit(args, lambda: rows, lambda: rows,
          lambda: [vec_text(r["p"]) + (f" {r['c']}" if args.coeffs else "") for r in rows])
     return 0

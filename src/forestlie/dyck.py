@@ -50,22 +50,26 @@ def is_dyck(p: Sequence[int]) -> bool:
 def enumerate_dyck(k: int) -> Iterator[tuple[int, ...]]:
     """Yield every Dyck vector of length k exactly once, in lexicographic order.
 
-    There are catalan(k+1) of them.
+    There are catalan(k+1) of them.  Iterative (TAOCP 4A, 7.2.1.6): the
+    successor of p raises the rightmost entry p_j whose deficit D_j is
+    positive by one and resets the entries after it to zero.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    prefix: list[int] = []
-
-    def rec(j: int, total: int) -> Iterator[tuple[int, ...]]:
-        if j > k:
-            yield tuple(prefix)
+    p = [0] * k
+    d = list(range(k + 1))  # the deficits D_0..D_k of p
+    while True:
+        yield tuple(p)
+        j = k
+        while j and not d[j]:
+            j -= 1
+        if not j:
             return
-        for entry in range(j - total + 1):
-            prefix.append(entry)
-            yield from rec(j + 1, total + entry)
-            prefix.pop()
-
-    yield from rec(1, 0)
+        p[j - 1] += 1
+        d[j] -= 1
+        for i in range(j, k):
+            p[i] = 0
+            d[i + 1] = d[i] + 1
 
 
 def count_dyck(k: int) -> int:
@@ -120,9 +124,59 @@ def coeff_cp(p: Sequence[int]) -> int:
     return result
 
 
+def _rational_factor(d_prev: int, entry: int) -> tuple[int, int]:
+    """Numerator and denominator of (2 + D_j/p_j) * binom(D_{j-1}, p_j - 1),
+    the factor of a nonzero entry p_j in the restricted rational product."""
+    d = d_prev - entry + 1
+    return (2 * entry + d) * binom(d_prev, entry - 1), entry
+
+
+def walk(k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield (p, D_k, C_P) for every Dyck vector p of length k, in the order
+    of enumerate_dyck, without building a table.
+
+    The vectors are stepped through as in enumerate_dyck.  For each prefix
+    p_1..p_j the walk keeps the binomial product of coeff_cp and the
+    numerator and denominator of its restricted rational product; a zero
+    entry multiplies each by 1, so the entries reset to zero share their
+    prefix's products.  The two products are compared exactly at every
+    vector, and SelfCheckError names the first vector where they disagree.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    p = [0] * k
+    d = list(range(k + 1))
+    coeff = [1] * (k + 1)  # index j: products over p_1..p_j
+    num = [1] * (k + 1)
+    den = [1] * (k + 1)
+    while True:
+        c = coeff[k]
+        if c * den[k] != num[k]:
+            raise SelfCheckError(f"coefficient formulas disagree for {tuple(p)}: "
+                                 f"{c} vs {Fraction(num[k], den[k])}")
+        yield tuple(p), d[k], c
+        j = k
+        while j and not d[j]:
+            j -= 1
+        if not j:
+            return
+        d_prev = d[j - 1]
+        entry = p[j - 1] = p[j - 1] + 1
+        d[j] -= 1
+        factor_num, factor_den = _rational_factor(d_prev, entry)
+        c = coeff[j - 1] * (2 * binom(d_prev, entry - 1) + binom(d_prev, entry))
+        n = num[j - 1] * factor_num
+        m = den[j - 1] * factor_den
+        coeff[j], num[j], den[j] = c, n, m
+        for i in range(j, k):
+            p[i] = 0
+            d[i + 1] = d[i] + 1
+            coeff[i + 1], num[i + 1], den[i + 1] = c, n, m
+
+
 def coefficient_table(k: int) -> dict[tuple[int, ...], int]:
     """All (vector, coefficient) pairs for length k, in lexicographic order."""
-    return {p: coeff_cp(p) for p in enumerate_dyck(k)}
+    return {p: c for p, _, c in walk(k)}
 
 
 def validate_path(steps: Sequence[int]) -> None:

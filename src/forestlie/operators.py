@@ -270,9 +270,7 @@ def estimate_certificate(k: int, h: int) -> list[EstimateRow]:
         raise ValueError("need k >= 1 and h >= 0")
     rows = []
     splits = list(weak_compositions(h, k + 1))
-    for p in dyck.enumerate_dyck(k):
-        coeff = dyck.coeff_cp(p)
-        final_deficit = dyck.deficit_profile(p)[k]
+    for p, final_deficit, coeff in dyck.walk(k):
         for hs in splits:
             rows.append(
                 EstimateRow(

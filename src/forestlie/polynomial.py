@@ -109,8 +109,8 @@ class MultiPoly:
 def sigma_formula(k: int) -> MultiPoly:
     """Sum over Dyck vectors of coeff * B^(final deficit) * X^p."""
     out = MultiPoly(k)
-    for p in dyck.enumerate_dyck(k):
-        out.add_term(dyck.coeff_cp(p), dyck.deficit_profile(p)[k], p)
+    for p, final_deficit, coeff in dyck.walk(k):
+        out.add_term(coeff, final_deficit, p)
     return out
 
 

@@ -171,6 +171,7 @@ def test_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "coeff", "--p", "2,0")
     assert code == 2
     assert "not a Dyck vector" in err
+    assert run(capsys, "dyck", "--k", "-1", "--coeffs") == (2, "", "error: k must be >= 0\n")
     for argv, flag in [(["coeff", "--p", "0,1,x"], "--p"),
                        (["clambda", "--lambda", "1,x"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs")]:

@@ -1,6 +1,9 @@
+from itertools import zip_longest
+
 import pytest
 
-from forestlie import dyck
+from forestlie import cli, dyck, operators, polynomial
+from forestlie.errors import SelfCheckError
 
 # full coefficient lists for lengths 1..3
 TABLE_1 = {(0,): 1, (1,): 2}
@@ -10,6 +13,22 @@ TABLE_3 = {
     (0, 1, 1): 9, (0, 1, 2): 6, (0, 2, 0): 2, (0, 2, 1): 4, (1, 0, 0): 2,
     (1, 0, 1): 6, (1, 0, 2): 4, (1, 1, 0): 4, (1, 1, 1): 8,
 }
+
+
+def recursive_enumerate_dyck(k):
+    """The recursive enumerator that enumerate_dyck replaced, kept as its reference."""
+    prefix = []
+
+    def rec(j, total):
+        if j > k:
+            yield tuple(prefix)
+            return
+        for entry in range(j - total + 1):
+            prefix.append(entry)
+            yield from rec(j + 1, total + entry)
+            prefix.pop()
+
+    yield from rec(1, 0)
 
 
 def test_enumerate_small():
@@ -108,3 +127,51 @@ def test_binom_is_total():
     assert dyck.binom(3, 4) == 0
     assert dyck.binom(3, 2) == 3
     assert dyck.binom(0, 0) == 1
+
+
+def test_iterative_enumerator_matches_recursive():
+    # every k up to the dyck_counts cap of verify, streamed pairwise
+    for k in range(13):
+        for new, old in zip_longest(dyck.enumerate_dyck(k), recursive_enumerate_dyck(k)):
+            assert new == old, k
+
+
+def test_walk_matches_coeff_cp():
+    # every k up to the dyck_two_formulas cap of verify
+    for k in range(11):
+        expected = [(p, dyck.deficit_profile(p)[k], dyck.coeff_cp(p)) for p in recursive_enumerate_dyck(k)]
+        assert list(dyck.walk(k)) == expected, k
+
+
+def test_sigma_formula_matches_coeff_cp_rebuild():
+    for k in range(9):
+        rebuilt = polynomial.MultiPoly(k)
+        for p in recursive_enumerate_dyck(k):
+            rebuilt.add_term(dyck.coeff_cp(p), dyck.deficit_profile(p)[k], p)
+        assert polynomial.sigma_formula(k) == rebuilt, k
+
+
+def test_walk_edge_cases():
+    assert list(dyck.walk(0)) == [((), 0, 1)]
+    for gen in (dyck.enumerate_dyck(-1), dyck.walk(-1)):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            next(gen)
+
+
+def test_rational_product_mismatch_is_caught(monkeypatch, capsys):
+    # wrong rational factor for D_{j-1} = 3, p_j = 2 only: 19/2 instead of 9
+    right = dyck._rational_factor
+    monkeypatch.setattr(dyck, "_rational_factor",
+                        lambda d_prev, entry: (19, 2) if (d_prev, entry) == (3, 2) else right(d_prev, entry))
+    with pytest.raises(SelfCheckError, match=r"for \(0, 0, 0, 1, 2\): 45 vs 95/2"):
+        dyck.coefficient_table(5)
+    with pytest.raises(SelfCheckError, match=r"for \(0, 0, 0, 1, 2\)"):
+        polynomial.sigma_formula(5)
+    with pytest.raises(SelfCheckError, match=r"for \(0, 0, 0, 1, 2\)"):
+        operators.estimate_certificate(5, 0)
+    assert dyck.coeff_cp((0, 0, 0, 1, 2)) == 45  # the reference is independent of the walk
+
+    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)
+    assert cli.main(["verify", "--max-k", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] dyck_two_formulas: expected consistency, got coefficient formulas disagree for (0, 0, 0, 2)" in out
