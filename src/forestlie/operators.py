@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import dyck, forests
 from .errors import SelfCheckError
@@ -238,8 +237,7 @@ def weak_compositions(h: int, l: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     """One row of the derivative-order bound: a Dyck vector, a splitting of
     the h outer derivatives, the coefficient, and the resulting orders."""
 
@@ -248,15 +246,6 @@ class EstimateRow:
     coeff: int
     a_order: int
     xi_orders: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "p": list(self.p),
-            "h": list(self.h),
-            "coeff": self.coeff,
-            "a_order": self.a_order,
-            "xi_orders": list(self.xi_orders),
-        }
 
 
 def estimate_certificate(k: int, h: int) -> list[EstimateRow]:

@@ -1,13 +1,14 @@
 """Acceptance suite: every criterion checked in exact integer arithmetic,
 one pass/fail line printed per criterion (run pytest with -s to see them).
+
+Criteria 1-12 run the entries of the check registry (forestlie.checks) at
+their own caps, the same entries `forestlie verify` runs, and assert here
+only what no check covers.
 """
 
-import math
 import time
 
-from forestlie import cli, compositions, dyck, forests, operators, partitions, polynomial
-
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+from forestlie import checks, cli, compositions, dyck, forests, operators, polynomial
 
 
 def report(number: int, description: str, ok: bool, elapsed: float | None = None) -> None:
@@ -16,32 +17,34 @@ def report(number: int, description: str, ok: bool, elapsed: float | None = None
     assert ok, f"criterion {number} failed: {description}"
 
 
+def checks_pass(*names: str, required: list[str]) -> bool:
+    """Run the named registry checks at their caps (max_k = 99).  True when
+    every row is ok and the rows named in `required` are among them; those
+    name the largest sizes, so a lowered cap fails the criterion as well."""
+    rows = [row for name in names for row in checks.run(name, 99)]
+    for row in rows:
+        if not row["ok"]:
+            print(f"  {row['name']}: expected {row['expected']}, got {row['actual']}")
+    return all(row["ok"] for row in rows) and set(required) <= {row["name"] for row in rows}
+
+
 def test_c01_worked_coefficient_example():
-    p = (0, 1, 0, 1, 3, 0, 1)
-    ok = dyck.coeff_cp(p) == 72 and dyck.deficit_profile(p) == (0, 1, 1, 2, 2, 0, 1, 1)
+    ok = checks_pass("coeff_worked_example",
+                     required=["coeff_worked_example[deficits]", "coeff_worked_example[value]"])
     report(1, "worked example: deficits (0,1,1,2,2,0,1,1) and coefficient 72", ok)
 
 
 def test_c02_coefficient_tables():
-    tables = {
-        1: {(0,): 1, (1,): 2},
-        2: {(0, 0): 1, (0, 1): 3, (0, 2): 2, (1, 0): 2, (1, 1): 4},
-        3: {
-            (0, 0, 0): 1, (0, 0, 1): 4, (0, 0, 2): 5, (0, 0, 3): 2, (0, 1, 0): 3,
-            (0, 1, 1): 9, (0, 1, 2): 6, (0, 2, 0): 2, (0, 2, 1): 4, (1, 0, 0): 2,
-            (1, 0, 1): 6, (1, 0, 2): 4, (1, 1, 0): 4, (1, 1, 1): 8,
-        },
-    }
-    ok = all(dyck.coefficient_table(k) == tables[k] for k in (1, 2, 3))
-    ok = ok and sum(len(t) for t in tables.values()) == 2 + 5 + 14
+    ok = checks_pass("dyck_tables", required=["dyck_table[k=1]", "dyck_table[k=2]", "dyck_table[k=3]"])
+    ok = ok and [len(checks.DYCK_TABLES[k]) for k in (1, 2, 3)] == [2, 5, 14]
     report(2, "coefficient tables for k = 1, 2, 3 (2 + 5 + 14 entries)", ok)
 
 
 def test_c03_catalan_counts():
     start = time.monotonic()
-    ok = all(dyck.count_dyck(k) == dyck.catalan(k + 1) for k in range(15))
-    # cross-check the enumerator against the independent count where affordable
-    ok = ok and all(sum(1 for _ in dyck.enumerate_dyck(k)) == dyck.count_dyck(k) for k in range(13))
+    # the check enumerates and counts through k = 12; the count alone goes on
+    ok = checks_pass("dyck_counts", required=["dyck_count[k=12,enumerated]", "dyck_count[k=12,counted]"])
+    ok = ok and all(dyck.count_dyck(k) == dyck.catalan(k + 1) for k in (13, 14))
     elapsed = time.monotonic() - start
     report(3, "|Dyck(k)| = catalan(k+1) for k = 0..14", ok and elapsed < 5, elapsed)
 
@@ -52,14 +55,8 @@ def test_c04_pullback_coefficients():
                   (3, 1): 1, (2, 2): 3, (1, 3): 3, (4,): 1}
     coeffs4 = compositions.pullback_coefficients(4, check=False)
     ok = coeffs4 == figure_row and sum(coeffs4.values()) == 15
-    for k in range(10):
-        coeffs = compositions.pullback_coefficients(k, check=False)
-        census = partitions.shape_census(k)
-        ok = ok and all(
-            coeffs.get(lam, 0) == compositions.coeff_clambda(lam) == census.get(lam, 0)
-            for lam in compositions.enumerate_compositions(k)
-        )
-        ok = ok and sum(coeffs.values()) == BELL[k] == partitions.bell(k)
+    ok = ok and checks_pass("pullback_threeway", required=[
+        "pullback[k=9,threeway]", "pullback[k=9,bell_total]", "pullback[k=9,bell_table]"])
     elapsed = time.monotonic() - start
     report(4, "pull-back coefficients agree three ways for k <= 9, Bell totals",
            ok and elapsed < 30, elapsed)
@@ -67,26 +64,16 @@ def test_c04_pullback_coefficients():
 
 def test_c05_key_identity():
     start = time.monotonic()
-    ok = True
-    for k in range(11):
-        for lam in compositions.enumerate_compositions(k):
-            equal, lhs, rhs = compositions.verify_key_identity(lam)
-            ok = ok and equal and lhs == k and rhs == k
+    ok = checks_pass("key_identity", required=["key_identity[k=10]"])
     elapsed = time.monotonic() - start
     report(5, "key sum identity for every composition of every k <= 10", ok and elapsed < 10, elapsed)
 
 
 def test_c06_partition_bijection():
     start = time.monotonic()
-    worked = partitions.SetPartition.parse("1|35|6|247")
-    chain = partitions.partition_to_path(worked)
-    ok = chain == [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2), (2, 1, 2), (2, 1, 3), (1, 2, 1, 3)]
-    for k in range(9):
-        for part in partitions.enumerate_partitions(k):
-            ok = ok and partitions.path_to_partition(partitions.partition_to_path(part)) == part
-    for k in range(8):
-        for path in compositions.enumerate_paths(k):
-            ok = ok and partitions.partition_to_path(partitions.path_to_partition(path)) == path
+    ok = checks_pass("partition_bijection", required=[
+        "partition_bijection[worked,chain]", "partition_bijection[8,forward]",
+        "partition_bijection[7,reverse]"])
     elapsed = time.monotonic() - start
     report(6, "shrink-chain bijection inverse on all partitions (k <= 8) and worked chain",
            ok and elapsed < 10, elapsed)
@@ -94,15 +81,8 @@ def test_c06_partition_bijection():
 
 def test_c07_forest_counts_and_identities():
     start = time.monotonic()
-    ok = True
-    for k in range(8):
-        n = sum(1 for _ in forests.enumerate_forests(forests.standard_labels(k)))
-        ok = ok and n == math.factorial(k + 1)
-    for k in range(1, 7):
-        for f in forests.enumerate_forests(forests.standard_labels(k)):
-            expo, _, root_children = forests.monomial(f)
-            ok = ok and forests.monomial(forests.prune(f))[0] == expo[:-1]
-            ok = ok and root_children == k - sum(expo)
+    ok = checks_pass("forest_counts", "forest_identities", required=[
+        "forest_count[k=7]", "forest_identity[k=6,prune_monomial]", "forest_identity[k=6,root_degree]"])
     elapsed = time.monotonic() - start
     report(7, "(k+1)! forests for k <= 7; pruning and root-degree identities for k <= 6",
            ok and elapsed < 10, elapsed)
@@ -110,14 +90,8 @@ def test_c07_forest_counts_and_identities():
 
 def test_c08_fiber_example():
     start = time.monotonic()
-    fib = forests.fiber((0, 0, 2, 1, 1))
-    hist: dict[int, int] = {}
-    for f in fib:
-        hist[f.tree_count] = hist.get(f.tree_count, 0) + 1
-    value = forests.cprime((0, 0, 2, 1, 1))
-    ok = hist == {1: 1, 2: 4, 3: 5, 4: 2}
-    ok = ok and len(fib) == sum(hist.values()) == 12
-    ok = ok and value == 45 == dyck.coeff_cp((0, 0, 2, 1, 1))
+    ok = checks_pass("fiber_example", required=[
+        "fiber_example[histogram]", "fiber_example[cprime]", "fiber_example[coeff]"])
     elapsed = time.monotonic() - start
     # the criterion text says "13 forests" but its own histogram (1,4,5,2) and
     # the source example (1 + 4*2 + 5*4 + 2*8 = 45) both give 12
@@ -127,10 +101,7 @@ def test_c08_fiber_example():
 
 def test_c09_sigma_polynomial_identity():
     start = time.monotonic()
-    ok = True
-    for k in range(8):
-        equal, witness = polynomial.poly_equal(polynomial.sigma_formula(k), polynomial.sigma_bruteforce(k))
-        ok = ok and equal and witness is None
+    ok = checks_pass("sigma_equality", required=["sigma_equal[k=7]"])
     ok = ok and polynomial.sigma_formula(1).terms == {(1, (0,)): 1, (0, (1,)): 2}
     ok = ok and polynomial.sigma_formula(2).terms == {
         (2, (0, 0)): 1, (1, (1, 0)): 2, (1, (0, 1)): 3, (0, (1, 1)): 4, (0, (0, 2)): 2}
@@ -138,8 +109,7 @@ def test_c09_sigma_polynomial_identity():
     # particular coefficient 3 with B^2 sits on (0,1,0) and coefficient 2
     # with B^1 on (0,2,0), not the other way around
     sigma3 = polynomial.sigma_formula(3)
-    table3 = dyck.coefficient_table(3)
-    ok = ok and all(sigma3.terms[(3 - sum(p), p)] == c for p, c in table3.items())
+    ok = ok and all(sigma3.terms[(3 - sum(p), p)] == c for p, c in checks.DYCK_TABLES[3].items())
     ok = ok and sigma3.terms[(2, (0, 1, 0))] == 3 and sigma3.terms[(1, (0, 2, 0))] == 2
     elapsed = time.monotonic() - start
     report(9, "formula vs forest sum for k <= 7; printed tables for k = 1, 2; "
@@ -149,14 +119,8 @@ def test_c09_sigma_polynomial_identity():
 
 def test_c10_operator_expansions():
     start = time.monotonic()
-    ok = True
-    for k in range(1, 7):
-        expansion = operators.expand_lie_partitions(k)  # closed form vs recurrence inside
-        ok = ok and len(expansion) == partitions.bell(k + 1)
+    ok = checks_pass("lie_partitions", "lie_oracle", required=["lie_partitions[k=6]", "lie_oracle[k=5]"])
     ok = ok and len(operators.expand_lie_partitions(6)) == 877
-    for k in range(1, 6):
-        oracle = operators.lie_chain_oracle(k)  # compared with expand_lie_forests inside
-        ok = ok and len(oracle) == math.factorial(k + 1)
     elapsed = time.monotonic() - start
     report(10, "partition expansion two ways for k <= 6 (877 terms); chain oracle = "
                "forest expansion for k <= 5 (720 terms)", ok and elapsed < 60, elapsed)
@@ -164,10 +128,7 @@ def test_c10_operator_expansions():
 
 def test_c11_covariant_chain_rule():
     start = time.monotonic()
-    ok = True
-    for n in range(7):
-        expanded = forests.expand_covariant(range(1, n + 1))  # multiplicity-1 check inside
-        ok = ok and len(expanded) == math.factorial(n)
+    ok = checks_pass("covariant_chain", required=["covariant_chain[n=6]"])
     host = forests.Forest((2, 3, 6, forests.ROOT), {3: forests.ROOT, 6: forests.ROOT, 2: 6})
     grafted = forests.graft(host, 1)
     R = forests.ROOT
@@ -184,15 +145,7 @@ def test_c11_covariant_chain_rule():
 
 def test_c12_estimate_certificate():
     start = time.monotonic()
-    ok = True
-    for k in range(1, 7):
-        h0 = {(r.p, r.coeff, r.a_order) for r in operators.estimate_certificate(k, 0)}
-        expected = {(p, dyck.coeff_cp(p), dyck.deficit_profile(p)[k]) for p in dyck.enumerate_dyck(k)}
-        ok = ok and h0 == expected
-    for k in range(1, 5):
-        for h in range(4):
-            n = len(operators.estimate_certificate(k, h))
-            ok = ok and n == dyck.catalan(k + 1) * math.comb(h + k, k)
+    ok = checks_pass("estimate_counts", required=["estimate[k=6,h0_table]", "estimate[k=4,rows_h3]"])
     elapsed = time.monotonic() - start
     report(12, "certificate at h = 0 equals the (P, C_P, D_k) table for k <= 6; "
                "row counts for k <= 4, h <= 3", ok and elapsed < 10, elapsed)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from forestlie import cli, compositions, polynomial
+from forestlie import checks, cli, compositions, polynomial
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -156,9 +156,22 @@ def test_verify_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_check_registry():
+    assert cli.CHECKS is checks.CHECKS
+    assert [name for name, _ in checks.CHECKS] == [
+        "coeff_worked_example", "dyck_tables", "dyck_counts", "dyck_two_formulas", "path_roundtrip",
+        "pullback_threeway", "key_identity", "partition_bijection", "forest_counts", "forest_identities",
+        "fiber_example", "sigma_equality", "covariant_chain", "lie_partitions", "lie_oracle",
+        "estimate_counts", "leibniz_grouping"]
+    assert all(isinstance(name, str) and callable(fn) for name, fn in checks.CHECKS)  # (name, fn) pairs
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli._CHECKS_BY_NAME, "dyck_tables",
-                        lambda max_k: [{"name": "dyck_tables", "expected": "1", "actual": "2", "ok": False}])
+    def wrong(max_k):
+        return [{"name": "dyck_tables", "expected": "1", "actual": "2", "ok": False}]
+
+    monkeypatch.setattr(checks, "CHECKS", [(name, wrong if name == "dyck_tables" else fn)
+                                           for name, fn in checks.CHECKS])
     code, out, err = run(capsys, "verify", "--all", "--max-k", "1")
     assert code == 1
     assert "first witness" in err
@@ -174,7 +187,8 @@ def test_usage_errors(capsys, monkeypatch):
     assert run(capsys, "dyck", "--k", "-1", "--coeffs") == (2, "", "error: k must be >= 0\n")
     for argv, flag in [(["coeff", "--p", "0,1,x"], "--p"),
                        (["clambda", "--lambda", "1,x"], "--lambda"),
-                       (["dyck", "--k", "2", "--jobs", "2"], "--jobs")]:
+                       (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
+                       (["verify", "--max-k", "-1"], "--max-k")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert flag in err and "Traceback" not in err, argv
@@ -184,6 +198,10 @@ def test_usage_errors(capsys, monkeypatch):
     assert "--jobs" in err and "Traceback" not in err
     code, _, _ = run(capsys, "dyck", "--k", "2")
     assert code == 0
+    monkeypatch.delenv("FORESTLIE_JOBS")
+    code, out, _ = run(capsys, "verify", "--max-k", "0")
+    assert code == 0
+    assert "[ok  ] dyck_count[k=0,counted]" in out.splitlines()
 
 
 def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
