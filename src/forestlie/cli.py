@@ -18,8 +18,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import compositions, dyck, operators, partitions, polynomial
-from .checks import CHECKS, run
+from . import checks, compositions, dyck, operators, partitions, polynomial
+from .checks import CHECKS, run  # CHECKS is re-exported: cli.CHECKS is checks.CHECKS
 from .errors import SelfCheckError
 
 FOREST_ENUM_LIMIT = 9  # full forest enumeration beyond this needs --force
@@ -207,28 +207,28 @@ def cmd_estimate(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
-    names = [name for name, _ in CHECKS]
+    names = [name for name, _ in checks.CHECKS]  # read at call time, as run does
     ceilings = [args.max_k] * len(names)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run, names, ceilings))
     else:
         results = list(map(run, names, ceilings))
-    checks = [c for rows in results for c in rows]
+    rows = [c for result in results for c in result]
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    first = next((c for c in checks if not c["ok"]), None)
+    first = next((c for c in rows if not c["ok"]), None)
     status = "pass" if first is None else "fail"
 
     def text():
-        for c in checks:
+        for c in rows:
             if c["ok"]:
                 yield f"[ok  ] {c['name']}"
             else:
                 yield f"[FAIL] {c['name']}: expected {c['expected']}, got {c['actual']}"
-        yield f"{status}: {len(checks)} checks in {elapsed_ms} ms"
+        yield f"{status}: {len(rows)} checks in {elapsed_ms} ms"
 
-    emit(args, lambda: {"command": "verify", "status": status, "checks": checks, "elapsed_ms": elapsed_ms},
-         lambda: checks, text)
+    emit(args, lambda: {"command": "verify", "status": status, "checks": rows, "elapsed_ms": elapsed_ms},
+         lambda: rows, text)
     if first is not None:
         print(f"verification failed, first witness: {first['name']} "
               f"(expected {first['expected']}, got {first['actual']})", file=sys.stderr)

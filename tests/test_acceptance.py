@@ -8,7 +8,7 @@ only what no check covers.
 
 import time
 
-from forestlie import checks, cli, compositions, dyck, forests, operators, polynomial
+from forestlie import checks, cli, compositions, dyck, forests, operators, partitions, polynomial
 
 
 def report(number: int, description: str, ok: bool, elapsed: float | None = None) -> None:
@@ -74,6 +74,12 @@ def test_c06_partition_bijection():
     ok = checks_pass("partition_bijection", required=[
         "partition_bijection[worked,chain]", "partition_bijection[8,forward]",
         "partition_bijection[7,reverse]"])
+    # the check counts the elements that round-trip; with Bell(k) elements
+    # enumerated, that means every one of them does
+    ok = ok and all(sum(1 for _ in partitions.enumerate_partitions(k)) == partitions.bell(k)
+                    for k in range(9))
+    ok = ok and all(sum(1 for _ in compositions.enumerate_paths(k)) == partitions.bell(k)
+                    for k in range(8))
     elapsed = time.monotonic() - start
     report(6, "shrink-chain bijection inverse on all partitions (k <= 8) and worked chain",
            ok and elapsed < 10, elapsed)
