@@ -23,6 +23,7 @@ from .checks import CHECKS, run  # CHECKS is re-exported: cli.CHECKS is checks.C
 from .errors import SelfCheckError
 
 FOREST_ENUM_LIMIT = 9  # full forest enumeration beyond this needs --force
+PARTITION_ENUM_LIMIT = 12  # likewise for the Bell(k) set partitions behind pullback
 
 
 def vec_text(p) -> str:
@@ -123,6 +124,10 @@ def cmd_clambda(args) -> int:
 
 def cmd_pullback(args) -> int:
     k = args.k
+    if k > PARTITION_ENUM_LIMIT and not args.force:
+        print(f"pullback counts all Bell(k) set partitions; refusing k={k} > {PARTITION_ENUM_LIMIT} "
+              "without --force", file=sys.stderr)
+        return 2
     coeffs = compositions.pullback_coefficients(k, check=False)
     rows = [{"lambda": list(lam), "iterated": iterated, "formula": closed, "partitions": counted,
              "ok": iterated == closed == counted}
@@ -268,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pullback", parents=[common],
                        help="coefficient table of sum k, three independent ways")
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--force", action="store_true", help="allow large k despite Bell-number cost")
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("sigma", parents=[common], help="the Dyck polynomial of the forest sum")

@@ -182,6 +182,33 @@ def standard_labels(k: int) -> tuple:
     return tuple(range(1, k + 1)) + (ROOT,)
 
 
+def _father_arrays(k: int) -> Iterator[tuple[int, ...]]:
+    """Every forest on [k] plus the empty root as a tuple of father indices.
+
+    Entry i-1 is 0 when i is a root and otherwise its father, one of
+    i+1..k+1, where k+1 stands for the empty root.  The first entry varies
+    slowest and each runs through 0, i+1, ..., k+1; (k+1)! tuples in all.
+    """
+    return itertools.product(*[(0, *range(i + 1, k + 2)) for i in range(1, k + 1)])
+
+
+def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
+    """The forest on the sorted labels whose father indices (1-based into
+    labels, 0 for a root) are fa; the maximal label has no entry."""
+    return Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
+
+
+def _monomial(fa: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
+    """monomial() of the forest on [k] plus the empty root with father indices fa."""
+    k = len(fa)
+    counts = [0] * (k + 2)
+    for i, f in enumerate(fa, 1):
+        counts[f] += 1
+        if not f:
+            counts[i] += 1
+    return tuple(counts[1:k + 1]), counts[0] + 1, counts[k + 1]
+
+
 def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     """Yield every strictly decreasing forest on the label set, |S|! in all.
 
@@ -189,10 +216,8 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     choices run root-first, fathers in increasing order.
     """
     ordered = tuple(sorted(labels, key=label_key))
-    options = [(None,) + ordered[i + 1:] for i in range(len(ordered))]
-    for choice in itertools.product(*options):
-        father = {v: f for v, f in zip(ordered, choice) if f is not None}
-        yield Forest(ordered, father)
+    for fa in _father_arrays(len(ordered) - 1):
+        yield _forest(ordered, fa)
 
 
 def trees_on(nodes: Sequence) -> Iterator[Forest]:
@@ -285,17 +310,26 @@ def prune(forest: Forest) -> Forest:
     return Forest(standard_labels(k - 1), father)
 
 
-def fiber(p: Sequence[int]) -> list[Forest]:
-    """All forests on [k] + root whose exponent vector equals p, by filtering."""
+def _fiber_arrays(p: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(father indices, tree count) of every forest whose exponent vector is p,
+    by filtering all (k+1)! forests in enumeration order."""
     validate_dyck(p)
     target = tuple(p)
-    k = len(target)
-    return [f for f in enumerate_forests(standard_labels(k)) if monomial(f)[0] == target]
+    for fa in _father_arrays(len(target)):
+        expo, tree_count, _ = _monomial(fa)
+        if expo == target:
+            yield fa, tree_count
+
+
+def fiber(p: Sequence[int]) -> list[Forest]:
+    """All forests on [k] + root whose exponent vector equals p, by filtering."""
+    labels = standard_labels(len(p))
+    return [_forest(labels, fa) for fa, _ in _fiber_arrays(p)]
 
 
 def cprime(p: Sequence[int]) -> int:
     """Sum of 2^(trees - 1) over the fiber of p; equals the product coefficient."""
-    return sum(2 ** (f.tree_count - 1) for f in fiber(p))
+    return sum(1 << (tree_count - 1) for _, tree_count in _fiber_arrays(p))
 
 
 def decorate(mu: Mapping, forest: Forest) -> Forest:

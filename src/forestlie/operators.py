@@ -173,26 +173,28 @@ def lie_chain_oracle(k: int) -> OperatorSum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    state: dict[Forest, int] = {Forest((ROOT,), {}): 1}
+    # a term is the tuple of father indices of the labels placed so far,
+    # j..k in order (0 for a root, k+1 for the empty root)
+    state: dict[tuple[int, ...], int] = {(): 1}
     for j in range(k, 0, -1):
-        nxt: dict[Forest, int] = {}
+        nxt: dict[tuple[int, ...], int] = {}
 
-        def put(f: Forest, m: int) -> None:
-            new = nxt.get(f, 0) + m
+        def put(fa: tuple[int, ...], m: int) -> None:
+            new = nxt.get(fa, 0) + m
             if new:
-                nxt[f] = new
-            elif f in nxt:
-                del nxt[f]
+                nxt[fa] = new
+            elif fa in nxt:
+                del nxt[fa]
 
-        for f, mult in state.items():
-            labels = f.labels + (j,)
-            for node in f.labels:
-                put(Forest(labels, {**f.father, j: node}), mult)
-            put(Forest(labels, f.father), -mult)
+        for fa, mult in state.items():
+            for node in range(j + 1, k + 2):
+                put((node, *fa), mult)
+            put((0, *fa), -mult)
         state = nxt
+    labels = forests.standard_labels(k)
     out = OperatorSum()
-    for f, mult in state.items():
-        out.add(f.text(), mult)
+    for fa, mult in state.items():
+        out.add(forests._forest(labels, fa).text(), mult)
     expected = expand_lie_forests(k)
     witness = out.difference_witness(expected)
     if witness is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .compositions import validate_composition
+
 
 @lru_cache(maxsize=None)
 def bell(k: int) -> int:
@@ -121,20 +123,40 @@ def enumerate_partitions(k: int) -> Iterator[SetPartition]:
         yield SetPartition(blocks)
 
 
+def _shapes(k: int) -> Iterator[tuple[int, ...]]:
+    """The shape of every partition of [k], one per partition, by a walk
+    over block lengths kept in normal order.
+
+    Element n either opens a singleton block, which is last because n is
+    the largest element so far, or joins a block, whose maximum becomes n,
+    so that block moves to the end.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    stack = [()]  # shapes of partitions of [n] for n <= k, depth first
+    while stack:
+        shape = stack.pop()
+        if sum(shape) == k:
+            yield shape
+        else:
+            stack += [shape[:i] + shape[i + 1:] + (shape[i] + 1,) for i in range(len(shape))]
+            stack.append(shape + (1,))
+
+
 def shape_census(k: int) -> dict[tuple[int, ...], int]:
     """How many partitions of [k] have each shape, in one enumeration pass."""
     census: dict[tuple[int, ...], int] = {}
-    for part in enumerate_partitions(k):
-        sh = part.shape()
-        census[sh] = census.get(sh, 0) + 1
+    for shape in _shapes(k):
+        census[shape] = census.get(shape, 0) + 1
     return census
 
 
 def count_by_shape(lam: Sequence[int]) -> int:
     """Number of partitions of [sum(lam)] with the given shape, by direct
     enumeration and filtering."""
+    validate_composition(lam)
     target = tuple(lam)
-    return sum(1 for part in enumerate_partitions(sum(target)) if part.shape() == target)
+    return sum(1 for shape in _shapes(sum(target)) if shape == target)
 
 
 def partition_to_path(part: SetPartition) -> list[tuple[int, ...]]:

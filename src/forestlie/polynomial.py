@@ -116,11 +116,14 @@ def sigma_formula(k: int) -> MultiPoly:
 
 def sigma_bruteforce(k: int) -> MultiPoly:
     """Sum over all (k+1)! forests of 2^(trees-1) * B^(root children) * X^(exponents)."""
-    out = MultiPoly(k)
-    for f in forests.enumerate_forests(forests.standard_labels(k)):
-        expo, tree_count, root_children = forests.monomial(f)
-        out.add_term(2 ** (tree_count - 1), root_children, expo)
-    return out
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    terms: dict[TermKey, int] = {}
+    for fa in forests._father_arrays(k):
+        expo, tree_count, root_children = forests._monomial(fa)
+        key = (root_children, expo)
+        terms[key] = terms.get(key, 0) + (1 << (tree_count - 1))
+    return MultiPoly(k, terms)
 
 
 def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int, int] | None]:

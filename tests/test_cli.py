@@ -188,7 +188,8 @@ def test_usage_errors(capsys, monkeypatch):
     for argv, flag in [(["coeff", "--p", "0,1,x"], "--p"),
                        (["clambda", "--lambda", "1,x"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
-                       (["verify", "--max-k", "-1"], "--max-k")]:
+                       (["verify", "--max-k", "-1"], "--max-k"),
+                       (["pullback", "--k", "13"], "--force")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert flag in err and "Traceback" not in err, argv

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -54,6 +55,30 @@ def test_enumerate_forest_counts():
     for k in range(6):
         n = sum(1 for _ in forests.enumerate_forests(forests.standard_labels(k)))
         assert n == math.factorial(k + 1)
+
+
+def forests_by_label_choice(labels):
+    """The reference enumeration over Forest objects: each label, smallest
+    first, picks no father or a larger label, fathers in increasing order."""
+    ordered = tuple(sorted(labels, key=forests.label_key))
+    options = [(None,) + ordered[i + 1:] for i in range(len(ordered))]
+    for choice in itertools.product(*options):
+        yield Forest(ordered, {v: f for v, f in zip(ordered, choice) if f is not None})
+
+
+def test_enumerate_forests_matches_label_choice():
+    label_sets = [(), (1,), (3, 1, 2), (Primed(3), 2, Primed(1)), (Primed(2), 4, ROOT)]
+    for labels in label_sets + [forests.standard_labels(k) for k in range(7)]:
+        assert list(forests.enumerate_forests(labels)) == list(forests_by_label_choice(labels))
+
+
+def test_integer_monomial_matches_forest_objects():
+    for k in range(7):
+        fas = list(forests._father_arrays(k))
+        objs = list(forests_by_label_choice(forests.standard_labels(k)))
+        assert len(fas) == len(objs) == math.factorial(k + 1)
+        for fa, f in zip(fas, objs):
+            assert forests._monomial(fa) == forests.monomial(f)
 
 
 def test_enumerate_trees():
@@ -170,6 +195,18 @@ def test_cprime_matches_coefficient():
     for k in range(5):
         for p in dyck.enumerate_dyck(k):
             assert forests.cprime(p) == dyck.coeff_cp(p)
+
+
+def test_fiber_and_cprime_match_filtered_objects():
+    # fiber keeps the enumeration order, and cprime weighs the same forests
+    for k in range(7):
+        by_expo: dict[tuple[int, ...], list[Forest]] = {}
+        for f in forests_by_label_choice(forests.standard_labels(k)):
+            by_expo.setdefault(forests.monomial(f)[0], []).append(f)
+        assert set(by_expo) == set(dyck.enumerate_dyck(k))
+        for p, fib in by_expo.items():
+            assert forests.fiber(p) == fib
+            assert forests.cprime(p) == sum(2 ** (f.tree_count - 1) for f in fib)
 
 
 def test_fibers_partition_all_forests():

@@ -98,6 +98,27 @@ def test_oracle_matches_closed_form():
         assert len(oracle) == math.factorial(k + 1)
 
 
+def oracle_over_forest_objects(k):
+    """The reference: the oracle's left multiplication over Forest objects."""
+    state = {forests.Forest((ROOT,), {}): 1}
+    for j in range(k, 0, -1):
+        nxt: dict = {}
+        for f, mult in state.items():
+            labels = f.labels + (j,)
+            for node in f.labels:
+                g = forests.Forest(labels, {**f.father, j: node})
+                nxt[g] = nxt.get(g, 0) + mult
+            g = forests.Forest(labels, f.father)
+            nxt[g] = nxt.get(g, 0) - mult
+        state = nxt
+    return OperatorSum({f.text(): mult for f, mult in state.items()})
+
+
+def test_oracle_matches_forest_object_reference():
+    for k in range(1, 7):
+        assert operators.lie_chain_oracle(k) == oracle_over_forest_objects(k)
+
+
 def test_operator_sum_witness():
     a = OperatorSum({"x": 1, "y": -1})
     b = OperatorSum({"x": 1, "y": 1})

@@ -101,3 +101,22 @@ def test_count_by_shape():
         assert sum(census.values()) == BELL[k]
         for lam in compositions.enumerate_compositions(k):
             assert census.get(lam, 0) == compositions.coeff_clambda(lam)
+
+
+def test_shape_walk_matches_partition_objects():
+    for k in range(10):
+        census: dict[tuple[int, ...], int] = {}
+        for part in partitions.enumerate_partitions(k):
+            census[part.shape()] = census.get(part.shape(), 0) + 1
+        assert partitions.shape_census(k) == census
+        if k <= 8:
+            for lam in compositions.enumerate_compositions(k):
+                assert partitions.count_by_shape(lam) == census[lam]
+
+
+def test_count_by_shape_rejects_non_compositions():
+    for lam in [(0, 1), (2, -1, 1)]:
+        with pytest.raises(ValueError, match="not a composition"):
+            partitions.count_by_shape(lam)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        partitions.shape_census(-1)

@@ -25,6 +25,23 @@ def test_sigma_formula_printed_values():
 def test_sigma_bruteforce_small():
     assert polynomial.sigma_bruteforce(1).terms == SIGMA_1
     assert polynomial.sigma_bruteforce(2).terms == SIGMA_2
+    for fn in (polynomial.sigma_bruteforce, polynomial.sigma_formula):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            fn(-1)
+
+
+def sigma_over_forest_objects(k):
+    """The reference: the forest sum over Forest objects and their monomials."""
+    out = MultiPoly(k)
+    for f in forests.enumerate_forests(forests.standard_labels(k)):
+        expo, tree_count, root_children = forests.monomial(f)
+        out.add_term(2 ** (tree_count - 1), root_children, expo)
+    return out
+
+
+def test_sigma_bruteforce_matches_forest_objects():
+    for k in range(8):
+        assert polynomial.sigma_bruteforce(k) == sigma_over_forest_objects(k)
 
 
 def test_sigma_equality():

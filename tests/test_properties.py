@@ -1,11 +1,14 @@
-"""Property tests on random Dyck vectors far longer than any enumeration cap."""
+"""Property tests on random Dyck vectors, forests and set partitions far
+larger than any enumeration cap."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from forestlie import dyck  # noqa: E402
+from forestlie import dyck, forests, partitions  # noqa: E402
+from forestlie.forests import Forest  # noqa: E402
+from forestlie.partitions import SetPartition  # noqa: E402
 
 
 @st.composite
@@ -40,3 +43,51 @@ def test_is_dyck(p):
 @given(dyck_vectors(max_len=8))
 def test_coeff_cp_matches_table(p):
     assert dyck.coeff_cp(p) == dyck.coefficient_table(len(p))[p]
+
+
+@st.composite
+def father_arrays(draw, min_k=0, max_k=14):
+    """Father indices of a forest on [k] plus the empty root: entry i-1 is 0
+    for a root, else a father in i+1..k+1, where k+1 is the empty root."""
+    k = draw(st.integers(min_k, max_k))
+    return tuple(draw(st.sampled_from((0, *range(i + 1, k + 2)))) for i in range(1, k + 1))
+
+
+def forest_of(fa):
+    labels = forests.standard_labels(len(fa))
+    return Forest(labels, {i: labels[f - 1] for i, f in enumerate(fa, start=1) if f})
+
+
+@st.composite
+def set_partitions(draw, max_k=14):
+    """A partition of [k]: each element in turn opens a block or joins one."""
+    blocks: list[list[int]] = []
+    for e in range(1, draw(st.integers(0, max_k)) + 1):
+        i = draw(st.integers(0, len(blocks)))
+        if i == len(blocks):
+            blocks.append([e])
+        else:
+            blocks[i].append(e)
+    return SetPartition(blocks)
+
+
+@given(father_arrays())
+def test_integer_monomial(fa):
+    assert forests._monomial(fa) == forests.monomial(forest_of(fa))
+
+
+@given(father_arrays())
+def test_forest_json_roundtrip(fa):
+    f = forest_of(fa)
+    assert Forest.from_json(f.to_json()) == f
+
+
+@given(father_arrays(min_k=1))
+def test_prune_drops_last_exponent(fa):
+    f = forest_of(fa)
+    assert forests.monomial(forests.prune(f))[0] == forests.monomial(f)[0][:-1]
+
+
+@given(set_partitions())
+def test_partition_path_roundtrip(part):
+    assert partitions.path_to_partition(partitions.partition_to_path(part)) == part
