@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
@@ -198,6 +199,26 @@ def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     return Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
 
 
+@lru_cache(maxsize=None)
+def _node_openings(k: int) -> tuple[str, ...]:
+    return tuple(f"({v}" for v in range(k + 1)) + ("(∘",)
+
+
+def _text(fa: Sequence[int]) -> str:
+    """Forest.text() of the forest on [k] plus the empty root with father indices fa."""
+    k = len(fa)
+    node = list(_node_openings(k))
+    roots = []
+    for i, f in enumerate(fa, 1):  # i's children are smaller, so already appended
+        closed = node[i] + ")"
+        if f:
+            node[f] += " " + closed
+        else:
+            roots.append(closed)
+    roots.append(node[k + 1] + ")")
+    return " ".join(roots)
+
+
 def _monomial(fa: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
     """monomial() of the forest on [k] plus the empty root with father indices fa."""
     k = len(fa)
@@ -258,19 +279,27 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
     """Iterate grafting over the labels in decreasing order from the bare root.
 
     The result is checked to be exactly the trees on the label set, each
-    produced once.
+    produced once.  The chain runs on father indices into the sorted labels
+    (n+1 for the empty root), as graft would: grafting j below v makes j the
+    first child of v, so j follows v in the preorder of the new tree.
     """
     from .errors import SelfCheckError
 
     ordered = sorted(labels, key=label_key)
-    trees = [Forest((ROOT,), {})]
-    for j in reversed(ordered):
-        trees = [g for t in trees for g in graft(t, j)]
-    expected = {t._key() for t in enumerate_trees(ordered)}
-    got = [t._key() for t in trees]
+    for v, w in zip(ordered, ordered[1:] + [ROOT]):
+        if label_key(v) >= label_key(w):
+            raise ValueError(f"graft label {v!r} must be smaller than every node")
+    n = len(ordered)
+    trees = [((), (n + 1,))]  # (father indices of labels j..n, preorder)
+    for j in range(n, 0, -1):
+        trees = [((v, *fa), pre[:i + 1] + (j,) + pre[i + 1:]) for fa, pre in trees for i, v in enumerate(pre)]
+    got = [fa for fa, _ in trees]
+    # every tree on the labels plus the empty root: label i picks a father among i+1..n+1
+    expected = set(itertools.product(*[range(i + 1, n + 2) for i in range(1, n + 1)]))
     if len(got) != len(set(got)) or set(got) != expected:
         raise SelfCheckError(f"grafting expansion of {ordered} does not match the tree enumeration")
-    return trees
+    nodes = (*ordered, ROOT)
+    return [_forest(nodes, fa) for fa in got]
 
 
 def exponent_map(forest: Forest) -> dict:
@@ -312,17 +341,39 @@ def prune(forest: Forest) -> Forest:
 
 def _fiber_arrays(p: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """(father indices, tree count) of every forest whose exponent vector is p,
-    by filtering all (k+1)! forests in enumeration order."""
+    in enumeration order, choosing fathers label by label from 1 up.
+
+    When label i is reached its children, all smaller, are placed: i is a
+    root iff p_i exceeds its child count by one, and otherwise takes a father
+    f > i, which can be a label only while f has fewer than p_f children.
+    """
     validate_dyck(p)
-    target = tuple(p)
-    for fa in _father_arrays(len(target)):
-        expo, tree_count, _ = _monomial(fa)
-        if expo == target:
-            yield fa, tree_count
+    k = len(p)
+    need = (0, *p)
+    kids = [0] * (k + 2)
+    fa = [0] * k
+
+    def place(i: int, roots: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if i > k:
+            yield tuple(fa), roots + 1
+            return
+        spare = need[i] - kids[i]
+        if spare == 1:
+            fa[i - 1] = 0
+            yield from place(i + 1, roots + 1)
+        elif spare == 0:
+            for f in range(i + 1, k + 2):
+                if f > k or kids[f] < need[f]:
+                    kids[f] += 1
+                    fa[i - 1] = f
+                    yield from place(i + 1, roots)
+                    kids[f] -= 1
+
+    yield from place(1, 0)
 
 
 def fiber(p: Sequence[int]) -> list[Forest]:
-    """All forests on [k] + root whose exponent vector equals p, by filtering."""
+    """All forests on [k] + root whose exponent vector equals p, in enumeration order."""
     labels = standard_labels(len(p))
     return [_forest(labels, fa) for fa, _ in _fiber_arrays(p)]
 

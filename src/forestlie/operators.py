@@ -2,29 +2,39 @@
 by set partitions and by decreasing forests, together with an independent
 left-multiplication oracle and the Leibniz-splitting combinatorics.
 
-Terms are carried as canonical strings (the compact partition form, or the
-nested forest form) mapped to signed integer multiplicities, so multiset
-equality of two expansions reduces to dict equality.  In a partition of
-[k+1] the block holding k+1 stands for the trailing bare-derivative factor
-and every other block for one bracket factor, ordered by block maxima; in a
-forest on [k] plus the empty root, the root tree is the trailing factor and
-the remaining trees are the bracket factors, ordered by root label.
+Each builder carries its terms as integer tuples mapped to signed
+multiplicities: a partition of [k+1] as its restricted growth string, a
+forest as its tuple of father indices.  Its two constructions are compared
+key by key on those tuples, and the returned OperatorSum renders each term
+once to its canonical string (the compact partition form, or the nested
+forest form), so multiset equality of two expansions reduces to dict
+equality.
+
+In a partition of [k+1] the block holding k+1 stands for the trailing
+bare-derivative factor and every other block for one bracket factor, ordered
+by block maxima; in a forest on [k] plus the empty root, the root tree is
+the trailing factor and the remaining trees are the bracket factors, ordered
+by root label.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-from . import dyck, forests
+from . import dyck, forests, partitions
 from .errors import SelfCheckError
-from .forests import ROOT, Forest
-from .partitions import SetPartition, enumerate_partitions
+from .forests import Forest
+from .partitions import SetPartition, enumerate_partitions  # noqa: F401 (bench/tracing.py wraps this name)
 
 
 class OperatorSum:
-    """A formal signed sum of operator words keyed by canonical term strings."""
+    """A formal signed sum of operator words keyed by canonical term strings.
+
+    The builders carry their terms keyed by integer tuples and render each
+    returned term to its string once, when they build the sum.
+    """
 
     __slots__ = ("terms",)
 
@@ -55,17 +65,37 @@ class OperatorSum:
 
     def difference_witness(self, other: "OperatorSum") -> tuple[str, int, int] | None:
         """First key (sorted) whose multiplicities differ, with both values."""
-        for key in sorted(set(self.terms) | set(other.terms)):
-            a, b = self.terms.get(key, 0), other.terms.get(key, 0)
-            if a != b:
-                return key, a, b
-        return None
+        return _first_difference(self.terms, other.terms)
 
     def to_json(self) -> list[dict]:
         return [{"key": key, "sign": mult} for key, mult in self.items()]
 
     def __repr__(self) -> str:
         return f"OperatorSum({len(self.terms)} terms)"
+
+
+def _first_difference(a: Mapping, b: Mapping) -> tuple | None:
+    """First key (sorted) whose multiplicities differ, a missing key counting
+    as 0, with both values."""
+    if a == b:
+        return None
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, 0), b.get(key, 0)
+        if x != y:
+            return key, x, y
+    return None
+
+
+def _compare(what: str, a: Mapping, b: Mapping, text: Callable[[tuple], str]) -> None:
+    """Raise SelfCheckError naming, as text, the first integer key whose
+    multiplicities differ."""
+    witness = _first_difference(a, b)
+    if witness is not None:
+        raise SelfCheckError(f"{what} mismatch at {text(witness[0])}: {witness[1]} vs {witness[2]}")
+
+
+def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> OperatorSum:
+    return OperatorSum({text(key): mult for key, mult in terms.items()})
 
 
 def partition_sign(part: SetPartition) -> int:
@@ -76,28 +106,33 @@ def forest_sign(forest: Forest) -> int:
     return -1 if (forest.tree_count - 1) % 2 else 1
 
 
-def _partitions_closed(k: int) -> OperatorSum:
-    out = OperatorSum()
-    for part in enumerate_partitions(k + 1):
-        out.add(part.text(), partition_sign(part))
-    return out
+def _partitions_closed(k: int) -> dict[tuple[int, ...], int]:
+    """Every partition of [k+1], keyed by its restricted growth string and
+    signed by its block count."""
+    return {a: 1 if m % 2 else -1 for a, m in partitions._growth_strings(k + 1)}
 
 
-def _partitions_recurrence(k: int) -> OperatorSum:
+def _partitions_recurrence(k: int) -> dict[tuple[int, ...], int]:
     """Left-extension recurrence: starting from {{k+1}}, each new smaller
     element either joins an existing block (same sign) or opens a leading
-    singleton block (sign flip)."""
-    state: list[tuple[tuple[frozenset, ...], int]] = [((frozenset({k + 1}),), 1)]
-    for j in range(k, 0, -1):
+    singleton block (sign flip).
+
+    A term holds the block of each element j..k+1, blocks numbered in the
+    order they open; renumbering by first appearance from element 1 gives
+    its restricted growth string.
+    """
+    state: list[tuple[tuple[int, ...], int, int]] = [((0,), 1, 1)]  # (blocks, block count, sign)
+    for _ in range(k):
         nxt = []
-        for blocks, sign in state:
-            for i, block in enumerate(blocks):
-                nxt.append((blocks[:i] + (block | {j},) + blocks[i + 1:], sign))
-            nxt.append(((frozenset({j}),) + blocks, -sign))
+        for a, m, sign in state:
+            nxt += [((b, *a), m, sign) for b in range(m)]
+            nxt.append(((m, *a), m + 1, -sign))
         state = nxt
-    out = OperatorSum()
-    for blocks, sign in state:
-        out.add(SetPartition([sorted(b) for b in blocks]).text(), sign)
+    out: dict[tuple[int, ...], int] = {}
+    for a, _, sign in state:
+        first: dict[int, int] = {}
+        key = tuple([first.setdefault(b, len(first)) for b in a])
+        out[key] = out.get(key, 0) + sign
     return out
 
 
@@ -110,39 +145,43 @@ def expand_lie_partitions(k: int) -> OperatorSum:
     if k < 1:
         raise ValueError("k must be >= 1")
     closed = _partitions_closed(k)
-    recur = _partitions_recurrence(k)
-    witness = closed.difference_witness(recur)
-    if witness is not None:
-        raise SelfCheckError(f"partition expansion mismatch at {witness[0]}: {witness[1]} vs {witness[2]}")
-    return closed
+    _compare("partition expansion", closed, _partitions_recurrence(k), partitions._growth_text)
+    return _rendered(closed, partitions._growth_text)
 
 
-def _forests_closed(k: int) -> OperatorSum:
-    out = OperatorSum()
-    for f in forests.enumerate_forests(forests.standard_labels(k)):
-        out.add(f.text(), forest_sign(f))
-    return out
+def _forests_closed(k: int) -> dict[tuple[int, ...], int]:
+    """Every forest on [k] plus the empty root, keyed by its father indices
+    and signed by its tree count (one more than its zeros)."""
+    return {fa: -1 if fa.count(0) % 2 else 1 for fa in forests._father_arrays(k)}
 
 
-def _forests_from_partitions(k: int) -> OperatorSum:
+def _forests_from_partitions(k: int) -> dict[tuple[int, ...], int]:
     """Refine each partition term into forests: every non-trailing block
-    becomes one decreasing tree on its elements, the trailing block (max
-    element dropped) becomes the tree hanging from the empty root."""
-    out = OperatorSum()
-    for part in enumerate_partitions(k + 1):
-        sign = partition_sign(part)
-        blocks = part.blocks
-        trailing = blocks[-1]  # the block holding k+1, last in normal ordering
-        tree_choices = [list(forests.trees_on(b)) for b in blocks[:-1]]
-        tree_choices.append(list(forests.trees_on(tuple(e for e in trailing if e != k + 1) + (ROOT,))))
-        for combo in itertools.product(*tree_choices):
-            labels: list = []
-            father: dict = {}
-            for tree in combo:
-                labels.extend(tree.labels)
-                father.update(tree.father)
-            out.add(Forest(labels, father).text(), sign)
+    becomes one decreasing tree on its elements, the trailing block (k+1,
+    its maximum, standing for the empty root) the tree hanging from the
+    empty root.  Inside a block each element but the maximum picks a larger
+    element of the block as its father."""
+    out: dict[tuple[int, ...], int] = {}
+    for a, m in partitions._growth_strings(k + 1):
+        sign = 1 if m % 2 else -1
+        blocks: list[list[int]] = [[] for _ in range(m)]
+        for e, b in enumerate(a, 1):
+            blocks[b].append(e)
+        choices: list = [None] * (k + 1)
+        for block in blocks:
+            for i, e in enumerate(block):
+                choices[e - 1] = block[i + 1:] or (0,)
+        for fa in itertools.product(*choices[:k]):
+            out[fa] = out.get(fa, 0) + sign
     return out
+
+
+def _lie_forests(k: int) -> dict[tuple[int, ...], int]:
+    """The forest expansion keyed by father indices: the closed form, checked
+    against the partition refinement."""
+    closed = _forests_closed(k)
+    _compare("forest expansion", closed, _forests_from_partitions(k), forests._text)
+    return closed
 
 
 def expand_lie_forests(k: int) -> OperatorSum:
@@ -154,12 +193,24 @@ def expand_lie_forests(k: int) -> OperatorSum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    closed = _forests_closed(k)
-    refined = _forests_from_partitions(k)
-    witness = closed.difference_witness(refined)
-    if witness is not None:
-        raise SelfCheckError(f"forest expansion mismatch at {witness[0]}: {witness[1]} vs {witness[2]}")
-    return closed
+    return _rendered(_lie_forests(k), forests._text)
+
+
+def _lie_chain(k: int) -> dict[tuple[int, ...], int]:
+    """The oracle's left multiplications; a term is the tuple of father
+    indices of the labels placed so far, j..k in order (0 for a root, k+1
+    for the empty root)."""
+    state: dict[tuple[int, ...], int] = {(): 1}
+    for j in range(k, 0, -1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for fa, mult in state.items():
+            for node in range(j + 1, k + 2):
+                key = (node, *fa)
+                nxt[key] = nxt.get(key, 0) + mult
+            key = (0, *fa)
+            nxt[key] = nxt.get(key, 0) - mult
+        state = nxt
+    return state
 
 
 def lie_chain_oracle(k: int) -> OperatorSum:
@@ -169,37 +220,14 @@ def lie_chain_oracle(k: int) -> OperatorSum:
     time for j = k down to 1: the derivative part grafts j below every node
     of every tree of every term (Leibniz across factors, chain rule inside
     each), the bracket part prepends the singleton tree {j} with a sign
-    flip.  The result must coincide with expand_lie_forests(k).
+    flip.  The result must coincide with expand_lie_forests(k), term by term
+    on father indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # a term is the tuple of father indices of the labels placed so far,
-    # j..k in order (0 for a root, k+1 for the empty root)
-    state: dict[tuple[int, ...], int] = {(): 1}
-    for j in range(k, 0, -1):
-        nxt: dict[tuple[int, ...], int] = {}
-
-        def put(fa: tuple[int, ...], m: int) -> None:
-            new = nxt.get(fa, 0) + m
-            if new:
-                nxt[fa] = new
-            elif fa in nxt:
-                del nxt[fa]
-
-        for fa, mult in state.items():
-            for node in range(j + 1, k + 2):
-                put((node, *fa), mult)
-            put((0, *fa), -mult)
-        state = nxt
-    labels = forests.standard_labels(k)
-    out = OperatorSum()
-    for fa, mult in state.items():
-        out.add(forests._forest(labels, fa).text(), mult)
-    expected = expand_lie_forests(k)
-    witness = out.difference_witness(expected)
-    if witness is not None:
-        raise SelfCheckError(f"oracle mismatch at {witness[0]}: {witness[1]} vs {witness[2]}")
-    return out
+    state = _lie_chain(k)
+    _compare("oracle", state, _lie_forests(k), forests._text)
+    return _rendered(state, forests._text)
 
 
 def leibniz_split(h: int, l: int) -> list[tuple[int, ...]]:

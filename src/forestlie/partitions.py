@@ -83,13 +83,12 @@ class SetPartition:
         s = s.strip()
         if s in ("", "∅"):
             return cls(())
-        blocks = []
-        for chunk in s.split("|"):
-            if "," in chunk:
-                blocks.append([int(e) for e in chunk.split(",")])
-            else:
-                blocks.append([int(c) for c in chunk])
-        return cls(blocks)
+        chunks = s.split("|")
+        # text() separates elements by commas exactly when there are more
+        # than 9, so a block without a comma, like "11", may still be one element
+        if "," in s or sum(map(len, chunks)) > 9:
+            return cls([[int(e) for e in chunk.split(",")] for chunk in chunks])
+        return cls([[int(c) for c in chunk] for chunk in chunks])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SetPartition) and self.blocks == other.blocks
@@ -121,6 +120,35 @@ def enumerate_partitions(k: int) -> Iterator[SetPartition]:
 
     for blocks in rec(k):
         yield SetPartition(blocks)
+
+
+def _growth_strings(k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every partition of [k] as (restricted growth string, block count), in
+    the order of enumerate_partitions.
+
+    Entry e-1 of the string is the block of e, blocks numbered 0, 1, ... by
+    their smallest element; each element joins a block already open or opens
+    the next one.
+    """
+    level = [((), 0)]
+    for _ in range(k):
+        level = [(a + (b,), m + (b == m)) for a, m in level for b in range(m + 1)]
+    return level
+
+
+@lru_cache(maxsize=None)
+def _element_texts(k: int) -> tuple[str, ...]:
+    return tuple(map(str, range(1, k + 1)))
+
+
+def _growth_text(a: Sequence[int]) -> str:
+    """SetPartition.text() of the partition with restricted growth string a."""
+    sep = "," if len(a) > 9 else ""
+    blocks: dict[int, str] = {}  # reinserted at each element, so ordered by maxima
+    for e, b in zip(_element_texts(len(a)), a):
+        text = blocks.pop(b, None)
+        blocks[b] = e if text is None else text + sep + e
+    return "|".join(blocks.values()) or "∅"
 
 
 def _shapes(k: int) -> Iterator[tuple[int, ...]]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from forestlie import checks, cli, compositions, polynomial
+from forestlie import checks, cli, compositions, operators, polynomial
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -217,6 +217,27 @@ def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--max-k", "3")
     assert code == 1
     assert "first witness: pullback[" in err
+
+
+def drop_first_term(terms):
+    first = next(iter(terms))
+    return {key: m for key, m in terms.items() if key != first}
+
+
+@pytest.mark.parametrize("construction, row, message", [
+    ("_partitions_recurrence", "lie_partitions", "partition expansion mismatch at 12: 1 vs 0"),
+    ("_forests_from_partitions", "lie_oracle", "forest expansion mismatch at (∘ (1)): 1 vs 0"),
+    ("_lie_chain", "lie_oracle", "oracle mismatch at (∘ (1)): 0 vs 1"),
+])
+def test_expansion_fault_fails_verify(capsys, monkeypatch, construction, row, message):
+    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)  # verify must run in this process
+    right = getattr(operators, construction)
+    monkeypatch.setattr(operators, construction, lambda k: drop_first_term(right(k)))
+    code, out, err = run(capsys, "verify", "--max-k", "3")
+    assert code == 1
+    failing = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failing == [f"[FAIL] {row}: expected consistency, got {message}"]
+    assert f"first witness: {row} (expected consistency, got {message})" in err
 
 
 def test_jobs_env_default(capsys, monkeypatch):

@@ -127,6 +127,29 @@ def test_expand_covariant():
     assert set(two) == set(forests.enumerate_trees((1, 2)))
     four = forests.expand_covariant({1, 2, 3, 4})
     assert len(four) == len(set(four)) == 24
+    for bad in ([2, 2], [1, ROOT]):
+        with pytest.raises(ValueError, match="smaller than every node"):
+            forests.expand_covariant(bad)
+
+
+def expand_covariant_over_objects(labels):
+    """The reference grafting chain over Forest objects, by forests.graft."""
+    trees = [Forest((ROOT,), {})]
+    for j in sorted(labels, key=forests.label_key, reverse=True):
+        trees = [g for t in trees for g in forests.graft(t, j)]
+    return trees
+
+
+def test_expand_covariant_matches_graft_reference():
+    for labels in [range(1, n + 1) for n in range(8)] + [(Primed(2), 3, Primed(1), 1)]:
+        assert forests.expand_covariant(labels) == expand_covariant_over_objects(labels)
+
+
+def test_text_matches_forest_objects():
+    for k in range(7):
+        labels = forests.standard_labels(k)
+        for fa in forests._father_arrays(k):
+            assert forests._text(fa) == forests._forest(labels, fa).text()
 
 
 def test_monomial_nine_node_tree():

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from forestlie import dyck, forests, operators
+from forestlie import dyck, forests, operators, partitions
+from forestlie.errors import SelfCheckError
 from forestlie.forests import ROOT, Primed
 from forestlie.operators import OperatorSum
 from forestlie.partitions import SetPartition, bell, enumerate_partitions
@@ -117,6 +118,117 @@ def oracle_over_forest_objects(k):
 def test_oracle_matches_forest_object_reference():
     for k in range(1, 7):
         assert operators.lie_chain_oracle(k) == oracle_over_forest_objects(k)
+
+
+def partitions_closed_over_objects(k):
+    """The reference closed form: every SetPartition of [k+1], signed by block count."""
+    out = OperatorSum()
+    for part in enumerate_partitions(k + 1):
+        out.add(part.text(), operators.partition_sign(part))
+    return out
+
+
+def partitions_recurrence_over_objects(k):
+    """The reference recurrence over frozenset blocks: each smaller element
+    joins a block or opens a leading singleton with a sign flip."""
+    state = [((frozenset({k + 1}),), 1)]
+    for j in range(k, 0, -1):
+        nxt = []
+        for blocks, sign in state:
+            for i, block in enumerate(blocks):
+                nxt.append((blocks[:i] + (block | {j},) + blocks[i + 1:], sign))
+            nxt.append(((frozenset({j}),) + blocks, -sign))
+        state = nxt
+    out = OperatorSum()
+    for blocks, sign in state:
+        out.add(SetPartition([sorted(b) for b in blocks]).text(), sign)
+    return out
+
+
+def forests_closed_over_objects(k):
+    """The reference closed form: every Forest on [k] plus the empty root."""
+    out = OperatorSum()
+    for f in forests.enumerate_forests(forests.standard_labels(k)):
+        out.add(f.text(), operators.forest_sign(f))
+    return out
+
+
+def forests_from_partitions_over_objects(k):
+    """The reference refinement: each block of each SetPartition of [k+1]
+    becomes every decreasing tree on it, from forests.trees_on."""
+    out = OperatorSum()
+    for part in enumerate_partitions(k + 1):
+        sign = operators.partition_sign(part)
+        blocks = part.blocks
+        trailing = blocks[-1]
+        tree_choices = [list(forests.trees_on(b)) for b in blocks[:-1]]
+        tree_choices.append(list(forests.trees_on(tuple(e for e in trailing if e != k + 1) + (ROOT,))))
+        for combo in itertools.product(*tree_choices):
+            labels: list = []
+            father: dict = {}
+            for tree in combo:
+                labels.extend(tree.labels)
+                father.update(tree.father)
+            out.add(forests.Forest(labels, father).text(), sign)
+    return out
+
+
+def test_partition_kernels_match_object_references():
+    for k in range(1, 9):
+        closed = partitions_closed_over_objects(k)
+        assert operators._rendered(operators._partitions_closed(k), partitions._growth_text) == closed
+        assert operators._rendered(operators._partitions_recurrence(k), partitions._growth_text) \
+            == partitions_recurrence_over_objects(k)
+        assert list(operators.expand_lie_partitions(k).terms.items()) == list(closed.terms.items())
+
+
+def test_forest_kernels_match_object_references():
+    for k in range(1, 7):
+        closed = forests_closed_over_objects(k)
+        assert operators._rendered(operators._forests_closed(k), forests._text) == closed
+        assert operators._rendered(operators._forests_from_partitions(k), forests._text) \
+            == forests_from_partitions_over_objects(k)
+        assert list(operators.expand_lie_forests(k).terms.items()) == list(closed.terms.items())
+
+
+def without(fn, key):
+    """fn with the term key dropped from its result."""
+    return lambda k: {fa: m for fa, m in fn(k).items() if fa != key}
+
+
+def test_recurrence_sign_flip_is_named(monkeypatch):
+    right = operators._partitions_recurrence
+
+    def flipped(k):
+        terms = right(k)
+        terms[(0, 1, 0, 1)] *= -1  # the partition 13|24
+        return terms
+
+    monkeypatch.setattr(operators, "_partitions_recurrence", flipped)
+    with pytest.raises(SelfCheckError) as exc:
+        operators.expand_lie_partitions(3)
+    assert str(exc.value) == "partition expansion mismatch at 13|24: -1 vs 1"
+
+
+def test_dropped_refined_forest_is_named(monkeypatch):
+    # (4, 4, 0) is 1 and 2 below the empty root, 3 a root of its own
+    monkeypatch.setattr(operators, "_forests_from_partitions",
+                        without(operators._forests_from_partitions, (4, 4, 0)))
+    message = "forest expansion mismatch at (3) (∘ (1) (2)): -1 vs 0"
+    with pytest.raises(SelfCheckError) as exc:
+        operators.expand_lie_forests(3)
+    assert str(exc.value) == message
+    with pytest.raises(SelfCheckError) as exc:
+        operators.lie_chain_oracle(3)
+    assert str(exc.value) == message
+
+
+def test_dropped_oracle_graft_is_named(monkeypatch):
+    monkeypatch.setattr(operators, "_lie_chain", without(operators._lie_chain, (2, 4, 4)))
+    with pytest.raises(SelfCheckError) as exc:
+        operators.lie_chain_oracle(3)
+    assert str(exc.value) == "oracle mismatch at (∘ (2 (1)) (3)): 0 vs 1"
+    assert len(operators.expand_lie_forests(3)) == 24
 
 
 def test_operator_sum_witness():

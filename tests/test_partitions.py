@@ -21,6 +21,8 @@ def test_text_large_elements():
     part = SetPartition([[10, 1], [2, 3, 4, 5, 6, 7, 8, 9]])
     assert part.text() == "2,3,4,5,6,7,8,9|1,10"
     assert SetPartition.parse(part.text()) == part
+    for text in ("1,2,3,4,5,6,7,8,9|10", "1,2,3,4,5,6,7,8,9,10|11", "1|2|3|4|5|6|7|8|9|10"):
+        assert SetPartition.parse(text).text() == text
 
 
 def test_constructor_rejects_bad_blocks():
@@ -120,3 +122,14 @@ def test_count_by_shape_rejects_non_compositions():
             partitions.count_by_shape(lam)
     with pytest.raises(ValueError, match="k must be >= 0"):
         partitions.shape_census(-1)
+
+
+def test_growth_strings_match_partition_objects():
+    # same partitions in the same order, with their block counts and texts
+    for n in range(10):
+        strings = partitions._growth_strings(n)
+        parts = list(partitions.enumerate_partitions(n))
+        assert len(strings) == len(parts) == partitions.bell(n)
+        for (a, m), part in zip(strings, parts):
+            assert m == len(part.blocks)
+            assert partitions._growth_text(a) == part.text()

@@ -59,16 +59,22 @@ def forest_of(fa):
 
 
 @st.composite
-def set_partitions(draw, max_k=14):
-    """A partition of [k]: each element in turn opens a block or joins one."""
-    blocks: list[list[int]] = []
-    for e in range(1, draw(st.integers(0, max_k)) + 1):
-        i = draw(st.integers(0, len(blocks)))
-        if i == len(blocks):
-            blocks.append([e])
-        else:
-            blocks[i].append(e)
-    return SetPartition(blocks)
+def growth_strings(draw, max_k=14):
+    """A restricted growth string: each element in turn joins a block
+    already open or opens the next one."""
+    a: list[int] = []
+    for _ in range(draw(st.integers(0, max_k))):
+        a.append(draw(st.integers(0, max(a, default=-1) + 1)))
+    return tuple(a)
+
+
+def partition_of(a):
+    return SetPartition([[e for e, b in enumerate(a, 1) if b == block] for block in range(max(a, default=-1) + 1)])
+
+
+def set_partitions(max_k=14):
+    """A partition of [k], from a random restricted growth string."""
+    return growth_strings(max_k).map(partition_of)
 
 
 @given(father_arrays())
@@ -91,3 +97,18 @@ def test_prune_drops_last_exponent(fa):
 @given(set_partitions())
 def test_partition_path_roundtrip(part):
     assert partitions.path_to_partition(partitions.partition_to_path(part)) == part
+
+
+@given(set_partitions())
+def test_partition_text_roundtrip(part):
+    assert SetPartition.parse(part.text()) == part
+
+
+@given(growth_strings())
+def test_growth_text(a):
+    assert partitions._growth_text(a) == partition_of(a).text()
+
+
+@given(father_arrays())
+def test_forest_text(fa):
+    assert forests._text(fa) == forest_of(fa).text()
