@@ -26,7 +26,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 from . import dyck, forests, partitions
 from .errors import SelfCheckError
 from .forests import Forest
-from .partitions import SetPartition, enumerate_partitions  # noqa: F401 (bench/tracing.py wraps this name)
+# operators.enumerate_partitions stays importable: bench/tracing.py wraps it
+from .partitions import SetPartition, enumerate_partitions  # noqa: F401
 
 
 class OperatorSum:
