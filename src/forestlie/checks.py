@@ -110,6 +110,12 @@ def check_partition_bijection(max_k: int) -> list[dict]:
     return _rows("partition_bijection[{},{}]", pairs)
 
 
+# The two forest checks run on the public Forest objects, not on father
+# tuples.  forest_counts counts what enumerate_forests yields, and each of
+# those forests is built by forests._forest, which rejects a father index
+# outside i < f <= n; so a wrong count or an invalid forest from the
+# enumerator fails here.  forest_identities runs the public monomial and
+# prune, which the tuple kernels (_monomial, _text) do not go through.
 def check_forest_counts(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 7) + 1):

@@ -68,24 +68,29 @@ class Forest:
     __slots__ = ("labels", "father", "_children")
 
     def __init__(self, labels: Iterable, father: Mapping):
-        labels = tuple(sorted(labels, key=label_key))
-        if len(set(labels)) != len(labels):
+        labels = tuple(labels)
+        keys = {v: label_key(v) for v in labels}  # one label_key call per label
+        if len(keys) != len(labels):
             raise ValueError("duplicate labels")
-        label_set = set(labels)
-        children: dict = {v: [] for v in labels}
+        labels = tuple(sorted(keys, key=keys.__getitem__))
+        father = dict(father)
         for v, f in father.items():
-            if v not in label_set:
+            if v not in keys:
                 raise ValueError(f"father map defined on {v!r} which is not a label")
-            if f not in label_set:
+            if f not in keys:
                 raise ValueError(f"father of {v!r} is {f!r}, not a label")
-            if label_key(f) <= label_key(v):
+            if keys[f] <= keys[v]:
                 raise ValueError(f"father must be strictly larger: father({v!r}) = {f!r}")
-            children[f].append(v)
-        for v in children:
-            children[v].sort(key=label_key)
+        children: dict = {v: [] for v in labels}
+        for v in labels:  # in label order, so each child list comes out sorted
+            if v in father:
+                children[father[v]].append(v)
+        self._set(labels, father, {v: tuple(c) for v, c in children.items()})
+
+    def _set(self, labels: tuple, father: dict, children: dict) -> None:
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "father", dict(father))
-        object.__setattr__(self, "_children", {v: tuple(c) for v, c in children.items()})
+        object.__setattr__(self, "father", father)
+        object.__setattr__(self, "_children", children)
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
@@ -165,19 +170,17 @@ class Forest:
         father = {parse_label(v): parse_label(f) for v, f in data.get("father", {}).items()}
         return cls(labels, father)
 
-    def _key(self):
-        return (self.labels, tuple(sorted(self.father.items(), key=lambda it: label_key(it[0]))))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self._key() == other._key()
+        return isinstance(other, Forest) and self.labels == other.labels and self.father == other.father
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.labels, frozenset(self.father.items())))
 
     def __repr__(self) -> str:
         return f"Forest[{self.text()}]"
 
 
+@lru_cache(maxsize=None)
 def standard_labels(k: int) -> tuple:
     """The label set [k] plus the empty root."""
     return tuple(range(1, k + 1)) + (ROOT,)
@@ -194,9 +197,28 @@ def _father_arrays(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
-    """The forest on the sorted labels whose father indices (1-based into
-    labels, 0 for a root) are fa; the maximal label has no entry."""
-    return Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
+    """The forest on the sorted, distinct labels whose father indices
+    (1-based into labels, 0 for a root) are fa; the maximal label has no entry.
+
+    Built without the label comparisons of Forest(): the father of the i-th
+    label must be a later one, i < f <= n, which is checked on the indices.
+    Children come out sorted because they are appended by increasing index.
+    """
+    n = len(labels)
+    if len(fa) != max(n - 1, 0):
+        raise ValueError(f"{len(fa)} father indices for {n} labels")
+    father = {}
+    kids = [()] * (n + 1)
+    for i, f in enumerate(fa, 1):
+        if f:
+            if not i < f <= n:
+                raise ValueError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
+            v = labels[i - 1]
+            father[v] = labels[f - 1]
+            kids[f] += (v,)
+    forest = Forest.__new__(Forest)
+    forest._set(labels, father, dict(zip(labels, kids[1:])))
+    return forest
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +259,8 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     choices run root-first, fathers in increasing order.
     """
     ordered = tuple(sorted(labels, key=label_key))
+    if len(set(ordered)) != len(ordered):
+        raise ValueError("duplicate labels")
     for fa in _father_arrays(len(ordered) - 1):
         yield _forest(ordered, fa)
 
@@ -304,9 +328,8 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
 
 def exponent_map(forest: Forest) -> dict:
     """Exponent of each non-root label: child count, plus one at forest roots."""
-    root_set = set(forest.roots)
-    return {v: forest.nchild(v) + (1 if v in root_set else 0)
-            for v in forest.labels if v is not ROOT}
+    children, father = forest._children, forest.father
+    return {v: len(children[v]) + (v not in father) for v in forest.labels if v is not ROOT}
 
 
 def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
@@ -318,8 +341,7 @@ def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
     k = len(forest.labels) - 1
     if forest.labels != standard_labels(k):
         raise ValueError("monomial requires labels [k] plus the empty root")
-    expo = exponent_map(forest)
-    return tuple(expo[j] for j in range(1, k + 1)), forest.tree_count, forest.nchild(ROOT)
+    return tuple(exponent_map(forest).values()), forest.tree_count, forest.nchild(ROOT)
 
 
 def prune(forest: Forest) -> Forest:
@@ -330,13 +352,11 @@ def prune(forest: Forest) -> Forest:
         raise ValueError("prune requires labels [k] plus the empty root")
     if k == 0:
         raise ValueError("cannot prune the bare root")
-    father = {}
+    fa = []  # father indices on [k-1] plus the empty root, which is index k
     for v in range(1, k):
         f = forest.father.get(v)
-        if f is None:
-            continue
-        father[v] = ROOT if (f is ROOT or f == k) else f
-    return Forest(standard_labels(k - 1), father)
+        fa.append(0 if f is None else k if (f is ROOT or f == k) else f)
+    return _forest(standard_labels(k - 1), fa)
 
 
 def _fiber_arrays(p: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -346,17 +366,29 @@ def _fiber_arrays(p: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     When label i is reached its children, all smaller, are placed: i is a
     root iff p_i exceeds its child count by one, and otherwise takes a father
     f > i, which can be a label only while f has fewer than p_f children.
+    A label f still needs at least p_f - 1 children, which only the labels
+    i..f-1 can give, so a branch is cut as soon as the labels i+1..f together
+    lack more children than there are labels in i..f-1.
     """
     validate_dyck(p)
     k = len(p)
     need = (0, *p)
     kids = [0] * (k + 2)
     fa = [0] * k
+    # only labels with p_f >= 2 can lack children a root may go without
+    wanting = [[f for f in range(i + 1, k + 1) if need[f] > 1] for i in range(k + 1)]
 
     def place(i: int, roots: int) -> Iterator[tuple[tuple[int, ...], int]]:
         if i > k:
             yield tuple(fa), roots + 1
             return
+        lacking = 0
+        for f in wanting[i]:
+            short = need[f] - kids[f] - 1
+            if short > 0:
+                lacking += short
+                if lacking > f - i:
+                    return
         spare = need[i] - kids[i]
         if spare == 1:
             fa[i - 1] = 0

@@ -9,6 +9,7 @@ separated by '|' ("1|35|6|247"); for k > 9 elements are comma-separated.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .compositions import validate_composition
@@ -50,6 +51,14 @@ class SetPartition:
             raise ValueError(f"blocks do not cover [{k}]: got {sorted(seen)}")
         object.__setattr__(self, "blocks", tuple(normalized))
 
+    @classmethod
+    def _normal(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """The partition with these blocks, which must already be in normal
+        order and cover [k]; nothing is checked."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "blocks", blocks)
+        return part
+
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
@@ -63,14 +72,11 @@ class SetPartition:
     def shrink(self) -> "SetPartition":
         """Decrement every element; drop the resulting 0 (and its block if
         it was a singleton).  Partitions [k-1]."""
-        if self.size == 0:
+        if not self.blocks:
             raise ValueError("cannot shrink the empty partition")
-        new_blocks = []
-        for b in self.blocks:
-            shifted = tuple(e - 1 for e in b if e > 1)
-            if shifted:
-                new_blocks.append(shifted)
-        return SetPartition(new_blocks)
+        # the maxima keep their order, so the blocks stay in normal order
+        shifted = (tuple(e - 1 for e in b if e > 1) for b in self.blocks)
+        return SetPartition._normal(tuple(b for b in shifted if b))
 
     def text(self) -> str:
         if not self.blocks:
@@ -118,8 +124,8 @@ def enumerate_partitions(k: int) -> Iterator[SetPartition]:
             yield smaller
             smaller.pop()
 
-    for blocks in rec(k):
-        yield SetPartition(blocks)
+    for blocks in rec(k):  # elements are appended in increasing order
+        yield SetPartition._normal(tuple(sorted(map(tuple, blocks), key=itemgetter(-1))))
 
 
 def _growth_strings(k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -188,12 +194,21 @@ def count_by_shape(lam: Sequence[int]) -> int:
 
 
 def partition_to_path(part: SetPartition) -> list[tuple[int, ...]]:
-    """The path () -> ... -> shape(part) collecting shapes under repeated shrinking."""
-    shapes = [part.shape()]
-    cur = part
-    while cur.size > 0:
-        cur = cur.shrink()
-        shapes.append(cur.shape())
+    """The path () -> ... -> shape(part) collecting shapes under repeated shrinking.
+
+    The m-th shrink drops the element m from its block and an emptied block
+    with it; the other blocks keep their order, so the walk runs on the block
+    lengths alone.
+    """
+    lengths = list(part.shape())
+    block_of = [0] * (part.size + 1)
+    for j, b in enumerate(part.blocks):
+        for e in b:
+            block_of[e] = j
+    shapes = [tuple(lengths)]
+    for m in range(1, part.size + 1):
+        lengths[block_of[m]] -= 1
+        shapes.append(tuple(n for n in lengths if n))
     shapes.reverse()
     return shapes
 
@@ -203,22 +218,26 @@ def path_to_partition(path: Sequence[Sequence[int]]) -> SetPartition:
 
     Inverse of partition_to_path.  Raises ValueError naming the first step
     that is not a valid edge of the composition graph.
+
+    Step i of a path to a partition of [k] adds the element k - i + 1, the
+    smallest so far: as a new first block, or as the new least element of a
+    block, whose maximum and place stay the same.  So the blocks are built
+    in normal order, each in decreasing order until it is reversed.
     """
     steps = [tuple(lam) for lam in path]
     if not steps or steps[0] != ():
         raise ValueError("not a valid path: must start with the empty composition")
+    k = len(steps) - 1
     blocks: list[list[int]] = []
     for i in range(1, len(steps)):
         prev, cur = steps[i - 1], steps[i]
-        shifted = [[e + 1 for e in b] for b in blocks]
         if cur == (1,) + prev:
-            shifted.insert(0, [1])
+            blocks.insert(0, [k - i + 1])
         elif len(cur) == len(prev):
             diffs = [j for j in range(len(prev)) if cur[j] != prev[j]]
             if len(diffs) != 1 or cur[diffs[0]] != prev[diffs[0]] + 1:
                 raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
-            shifted[diffs[0]].insert(0, 1)
+            blocks[diffs[0]].append(k - i + 1)
         else:
             raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
-        blocks = shifted
-    return SetPartition(blocks)
+    return SetPartition._normal(tuple(tuple(reversed(b)) for b in blocks))

@@ -1,10 +1,11 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from forestlie import checks, cli, compositions, operators, polynomial
+from forestlie import checks, cli, compositions, dyck, operators, polynomial
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -189,7 +190,10 @@ def test_usage_errors(capsys, monkeypatch):
                        (["clambda", "--lambda", "1,x"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
                        (["verify", "--max-k", "-1"], "--max-k"),
-                       (["pullback", "--k", "13"], "--force")]:
+                       (["pullback", "--k", "13"], "--force"),
+                       (["dyck", "--k", "20"], "--force"),
+                       (["dyck", "--k", "12", "--coeffs"], "--force"),
+                       (["estimate", "--k", "8", "--h", "3"], "--force")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert flag in err and "Traceback" not in err, argv
@@ -203,6 +207,21 @@ def test_usage_errors(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-k", "0")
     assert code == 0
     assert "[ok  ] dyck_count[k=0,counted]" in out.splitlines()
+
+
+def test_row_budget(capsys, monkeypatch):
+    # the budget admits dyck --k 9 and estimate --k 6 --h 3, the largest runs in the examples
+    assert dyck.catalan(10) <= cli.ROW_BUDGET
+    assert dyck.catalan(7) * math.comb(9, 6) <= cli.ROW_BUDGET
+    monkeypatch.setattr(cli, "ROW_BUDGET", 4)
+    code, out, err = run(capsys, "dyck", "--k", "3")
+    assert (code, out) == (2, "") and "Catalan(k+1) = 14 rows" in err and "--force" in err
+    code, out, _ = run(capsys, "dyck", "--k", "3", "--force")
+    assert code == 0 and len(out.splitlines()) == 14
+    code, out, err = run(capsys, "estimate", "--k", "1", "--h", "2")
+    assert (code, out) == (2, "") and "= 6 rows" in err
+    assert run(capsys, "estimate", "--k", "1", "--h", "2", "--force")[0] == 0
+    assert run(capsys, "dyck", "--k", "-1") == (2, "", "error: k must be >= 0\n")
 
 
 def test_pullback_mismatch_reports_witness(capsys, monkeypatch):

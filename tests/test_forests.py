@@ -72,6 +72,36 @@ def test_enumerate_forests_matches_label_choice():
         assert list(forests.enumerate_forests(labels)) == list(forests_by_label_choice(labels))
 
 
+def test_enumerate_forests_edges():
+    assert list(forests.enumerate_forests(())) == [Forest((), {})]
+    with pytest.raises(ValueError, match="duplicate"):
+        next(forests.enumerate_forests((1, 2, 1)))
+
+
+def test_forest_from_indices_matches_validated_constructor():
+    # _forest skips Forest()'s label comparisons; every field must still agree
+    for k in range(8):
+        labels = forests.standard_labels(k)
+        for fa in forests._father_arrays(k):
+            fast = forests._forest(labels, fa)
+            ref = Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
+            assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+    primed = (Primed(1), Primed(2), 1, ROOT)
+    for fa in forests._father_arrays(len(primed) - 1):
+        fast = forests._forest(primed, fa)
+        ref = Forest(primed, {primed[i]: primed[f - 1] for i, f in enumerate(fa) if f})
+        assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+
+
+def test_forest_from_indices_rejects_bad_indices():
+    labels = forests.standard_labels(3)
+    for fa in [(2, 3), (2, 3, 4, 4), (1, 3, 4), (2, 2, 4), (2, 3, 5), (-1, 3, 4)]:
+        with pytest.raises(ValueError):
+            forests._forest(labels, fa)
+    with pytest.raises(ValueError):
+        forests._forest((), (1,))
+
+
 def test_integer_monomial_matches_forest_objects():
     for k in range(7):
         fas = list(forests._father_arrays(k))
@@ -182,6 +212,24 @@ def test_prune_examples():
         forests.prune(Forest((ROOT,), {}))
 
 
+def prune_over_objects(forest):
+    """The reference prune through the validating constructor."""
+    k = len(forest.labels) - 1
+    father = {}
+    for v in range(1, k):
+        f = forest.father.get(v)
+        if f is not None:
+            father[v] = ROOT if (f is ROOT or f == k) else f
+    return Forest(forests.standard_labels(k - 1), father)
+
+
+def test_prune_matches_validated_reference():
+    for k in range(1, 7):
+        for f in forests.enumerate_forests(forests.standard_labels(k)):
+            fast, ref = forests.prune(f), prune_over_objects(f)
+            assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+
+
 def test_prune_deletes_last_exponent():
     for k in range(1, 6):
         for f in forests.enumerate_forests(forests.standard_labels(k)):
@@ -230,6 +278,46 @@ def test_fiber_and_cprime_match_filtered_objects():
         for p, fib in by_expo.items():
             assert forests.fiber(p) == fib
             assert forests.cprime(p) == sum(2 ** (f.tree_count - 1) for f in fib)
+
+
+def fiber_arrays_without_lookahead(p):
+    """The reference backtracking, which finds a dead branch only when it
+    reaches a label with too few children."""
+    k = len(p)
+    need = (0, *p)
+    kids = [0] * (k + 2)
+    fa = [0] * k
+
+    def place(i, roots):
+        if i > k:
+            yield tuple(fa), roots + 1
+            return
+        spare = need[i] - kids[i]
+        if spare == 1:
+            fa[i - 1] = 0
+            yield from place(i + 1, roots + 1)
+        elif spare == 0:
+            for f in range(i + 1, k + 2):
+                if f > k or kids[f] < need[f]:
+                    kids[f] += 1
+                    fa[i - 1] = f
+                    yield from place(i + 1, roots)
+                    kids[f] -= 1
+
+    yield from place(1, 0)
+
+
+def test_fiber_lookahead_matches_plain_backtracking():
+    for k in range(8):
+        for p in dyck.enumerate_dyck(k):
+            assert list(forests._fiber_arrays(p)) == list(fiber_arrays_without_lookahead(p))
+
+
+def test_fiber_with_one_forest():
+    # 7 needs all of 1..6 as children, so it and 8, 9, 10 are roots
+    (f,) = forests.fiber((0, 0, 0, 0, 0, 0, 7, 1, 1, 1))
+    assert f.children(7) == (1, 2, 3, 4, 5, 6)
+    assert f.roots == (7, 8, 9, 10, ROOT)
 
 
 def test_fibers_partition_all_forests():

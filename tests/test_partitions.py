@@ -70,6 +70,7 @@ def test_partition_to_path_worked_chain():
 
 
 def test_path_to_partition_examples():
+    assert partitions.path_to_partition([()]) == SetPartition(())
     assert partitions.path_to_partition([(), (1,)]) == SetPartition([[1]])
     assert partitions.path_to_partition([(), (1,), (2,)]) == SetPartition([[1, 2]])
     chain = [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2), (2, 1, 2), (2, 1, 3), (1, 2, 1, 3)]
@@ -92,6 +93,46 @@ def test_bijection_roundtrip():
     for k in range(6):
         for path in compositions.enumerate_paths(k):
             assert partitions.partition_to_path(partitions.path_to_partition(path)) == path
+
+
+def shrink_over_objects(part):
+    """The reference shrink through the validating constructor."""
+    return SetPartition([s for s in ([e - 1 for e in b if e > 1] for b in part.blocks) if s])
+
+
+def partition_to_path_over_objects(part):
+    """The reference path: the shapes along the chain of validated shrinks."""
+    shapes = [part.shape()]
+    while part.size > 0:
+        part = shrink_over_objects(part)
+        shapes.append(part.shape())
+    return shapes[::-1]
+
+
+def path_to_partition_over_objects(path):
+    """The reference inverse: shift every element up by one, then add 1."""
+    blocks = []
+    for prev, cur in zip(path, path[1:]):
+        blocks = [[e + 1 for e in b] for b in blocks]
+        if cur == (1,) + prev:
+            blocks.insert(0, [1])
+        else:
+            (j,) = [j for j in range(len(prev)) if cur[j] != prev[j]]
+            blocks[j].insert(0, 1)
+    return SetPartition(blocks)
+
+
+def test_unchecked_builders_match_validated_references():
+    # the blocks built without validation equal those the constructor normalizes
+    for k in range(9):
+        for part in partitions.enumerate_partitions(k):
+            assert part.blocks == SetPartition(part.blocks).blocks
+            assert partitions.partition_to_path(part) == partition_to_path_over_objects(part)
+            if k:
+                assert part.shrink().blocks == shrink_over_objects(part).blocks
+    for k in range(8):
+        for path in compositions.enumerate_paths(k):
+            assert partitions.path_to_partition(path).blocks == path_to_partition_over_objects(path).blocks
 
 
 def test_count_by_shape():
