@@ -2,8 +2,9 @@
 suites, and table emission.
 
 Exit codes: 0 on success, 1 when a verification fails (the first witness is
-reported), 2 on usage errors.  Data output is deterministic for fixed flags;
-the ``--format`` switch changes serialization only, never values.
+reported), 2 on usage errors and on sizes over a budget without ``--force``.
+Data output is deterministic for fixed flags; the ``--format`` switch changes
+serialization only, never values.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from . import checks, compositions, dyck, operators, partitions, polynomial
 from .checks import CHECKS, run  # CHECKS is re-exported: cli.CHECKS is checks.CHECKS
 from .errors import SelfCheckError
 
-FOREST_ENUM_LIMIT = 9  # full forest enumeration beyond this needs --force
-PARTITION_ENUM_LIMIT = 12  # likewise for the Bell(k) set partitions behind pullback
-# rows dyck and estimate list without --force: about 10 and 17 us a row, so
-# dyck --k 11 (208,012 rows) takes 2.2 s and 107 MB, and dyck --k 12 would
-# take 7.4 s and 350 MB (2 vCPUs, Python 3.11)
+# rows or terms a command lists without --force: about 10 and 17 us a row for
+# dyck and estimate, so dyck --k 11 (208,012 rows) takes 2.2 s and 107 MB, and
+# dyck --k 12 would take 7.4 s and 350 MB (2 vCPUs, Python 3.11)
 ROW_BUDGET = 250_000
+# objects a command enumerates only to check itself: admits sigma --check
+# k <= 9 (10! forests) and pullback k <= 12 (Bell(12) = 4,213,597 partitions)
+ENUM_BUDGET = 5_000_000
 
 
 def vec_text(p) -> str:
@@ -60,13 +62,14 @@ def positive_int(s: str) -> int:
     return n
 
 
-def over_budget(args, count: int, what: str) -> bool:
-    """True, after saying so on stderr, if the command would list more than
-    ROW_BUDGET rows and --force is not given."""
-    if count <= ROW_BUDGET or args.force:
+def over_budget(args, count, what: str, budget: int) -> bool:
+    """True, after saying so on stderr, if count(args.k) exceeds budget and
+    --force is not given.  count must increase with k: it is evaluated at
+    0, 1, ..., k up to the first value over budget, so no huge integer is built."""
+    if args.force or all(count(j) <= budget for j in range(args.k + 1)):
         return False
-    print(f"{args.command} lists {what} = {count} rows; refusing more than {ROW_BUDGET} "
-          "without --force", file=sys.stderr)
+    print(f"{args.command} {what}: more than {budget} at k={args.k}; refusing without --force",
+          file=sys.stderr)
     return True
 
 
@@ -103,7 +106,7 @@ def emit(args, payload, table, text) -> None:
 
 
 def cmd_dyck(args) -> int:
-    if args.k >= 0 and over_budget(args, dyck.catalan(args.k + 1), "Catalan(k+1)"):
+    if over_budget(args, lambda j: dyck.catalan(j + 1), "lists Catalan(k+1) rows", ROW_BUDGET):
         return 2
     if args.coeffs:
         rows = [{"p": p, "c": c} for p, _, c in dyck.walk(args.k)]
@@ -140,9 +143,7 @@ def cmd_clambda(args) -> int:
 
 def cmd_pullback(args) -> int:
     k = args.k
-    if k > PARTITION_ENUM_LIMIT and not args.force:
-        print(f"pullback counts all Bell(k) set partitions; refusing k={k} > {PARTITION_ENUM_LIMIT} "
-              "without --force", file=sys.stderr)
+    if over_budget(args, partitions.bell, "enumerates Bell(k) set partitions", ENUM_BUDGET):
         return 2
     coeffs = compositions.pullback_coefficients(k, check=False)
     rows = [{"lambda": list(lam), "iterated": iterated, "formula": closed, "partitions": counted,
@@ -161,16 +162,15 @@ def cmd_pullback(args) -> int:
     emit(args, lambda: {"k": k, "rows": rows, "total": total, "bell": bell, "ok": ok}, lambda: rows, text)
     if not ok:
         first = next((r for r in rows if not r["ok"]), {"lambda": "total"})
-        print(f"verification failed, first witness: {first}", file=sys.stderr)
-        return 1
+        raise SelfCheckError(f"first witness: {first}")
     return 0
 
 
 def cmd_sigma(args) -> int:
     k = args.k
-    if args.check and k > FOREST_ENUM_LIMIT and not args.force:
-        print(f"sigma --check enumerates (k+1)! forests; refusing k={k} > {FOREST_ENUM_LIMIT} "
-              "without --force", file=sys.stderr)
+    if (over_budget(args, lambda j: dyck.catalan(j + 1), "lists Catalan(k+1) terms", ROW_BUDGET)
+            or args.check and over_budget(args, lambda j: math.factorial(j + 1),
+                                          "--check enumerates (k+1)! forests", ENUM_BUDGET)):
         return 2
     poly = polynomial.sigma_formula(k)
     equal = witness = None
@@ -189,16 +189,13 @@ def cmd_sigma(args) -> int:
 
     emit(args, lambda: {"k": k, "terms": poly.to_json_terms(), **check}, poly.to_json_terms, text)
     if args.check and not equal:
-        print(f"verification failed, first differing term: {witness}", file=sys.stderr)
-        return 1
+        raise SelfCheckError(f"first differing term: {witness}")
     return 0
 
 
 def cmd_lie(args) -> int:
     k = args.k
-    if k > FOREST_ENUM_LIMIT and not args.force:
-        print(f"lie enumerates (k+1)! forest terms; refusing k={k} > {FOREST_ENUM_LIMIT} "
-              "without --force", file=sys.stderr)
+    if over_budget(args, lambda j: math.factorial(j + 1), "lists (k+1)! terms", ROW_BUDGET):
         return 2
     expansion = operators.lie_chain_oracle(k) if args.check else operators.expand_lie_forests(k)
 
@@ -213,10 +210,10 @@ def cmd_lie(args) -> int:
 
 def cmd_estimate(args) -> int:
     k, h = args.k, args.h
-    if k >= 0 and h >= 0 and over_budget(args, dyck.catalan(k + 1) * math.comb(h + k, k),
-                                         "Catalan(k+1)*C(h+k,k)"):
+    if over_budget(args, lambda j: dyck.catalan(j + 1) * math.comb(h + j, j),
+                   "lists Catalan(k+1)*C(h+k,k) rows", ROW_BUDGET):
         return 2
-    rows = operators.estimate_certificate(args.k, args.h)
+    rows = operators.estimate_certificate(k, h)
 
     def text():
         yield f"{'P':<14} {'H':<14} {'coeff':<8} {'a_order':<8} xi_orders"
@@ -255,9 +252,8 @@ def cmd_verify(args) -> int:
     emit(args, lambda: {"command": "verify", "status": status, "checks": rows, "elapsed_ms": elapsed_ms},
          lambda: rows, text)
     if first is not None:
-        print(f"verification failed, first witness: {first['name']} "
-              f"(expected {first['expected']}, got {first['actual']})", file=sys.stderr)
-        return 1
+        raise SelfCheckError(f"first witness: {first['name']} "
+                             f"(expected {first['expected']}, got {first['actual']})")
     return 0
 
 
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dyck", parents=[common], help="list Dyck vectors of length k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--coeffs", action="store_true", help="include the coefficient of each vector")
     p.add_argument("--force", action="store_true", help="allow more than the row budget")
     p.set_defaults(fn=cmd_dyck)
@@ -293,26 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pullback", parents=[common],
                        help="coefficient table of sum k, three independent ways")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--force", action="store_true", help="allow large k despite Bell-number cost")
+    p.add_argument("--k", type=nonnegative_int, required=True)
+    p.add_argument("--force", action="store_true", help="allow more than the enumeration budget")
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("sigma", parents=[common], help="the Dyck polynomial of the forest sum")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--check", action="store_true", help="verify against the full forest enumeration")
-    p.add_argument("--force", action="store_true", help="allow large k despite factorial cost")
+    p.add_argument("--force", action="store_true", help="allow more than the row and enumeration budgets")
     p.set_defaults(fn=cmd_sigma)
 
     p = sub.add_parser("lie", parents=[common], help="forest expansion of the Lie-derivative product")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--check", action="store_true",
                    help="rebuild by iterated left multiplication and compare")
-    p.add_argument("--force", action="store_true", help="allow large k despite factorial cost")
+    p.add_argument("--force", action="store_true", help="allow more than the row budget")
     p.set_defaults(fn=cmd_lie)
 
     p = sub.add_parser("estimate", parents=[common], help="derivative-order certificate table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
+    p.add_argument("--h", type=nonnegative_int, required=True)
     p.add_argument("--force", action="store_true", help="allow more than the row budget")
     p.set_defaults(fn=cmd_estimate)
 
@@ -328,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values of any size print (3.10.7+, 3.11+)
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

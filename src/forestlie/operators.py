@@ -24,7 +24,7 @@ import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import dyck, forests, partitions
-from .errors import SelfCheckError
+from .errors import SelfCheckError, first_difference
 from .forests import Forest
 # operators.enumerate_partitions stays importable: bench/tracing.py wraps it
 from .partitions import SetPartition, enumerate_partitions  # noqa: F401
@@ -66,7 +66,7 @@ class OperatorSum:
 
     def difference_witness(self, other: "OperatorSum") -> tuple[str, int, int] | None:
         """First key (sorted) whose multiplicities differ, with both values."""
-        return _first_difference(self.terms, other.terms)
+        return first_difference(self.terms, other.terms)
 
     def to_json(self) -> list[dict]:
         return [{"key": key, "sign": mult} for key, mult in self.items()]
@@ -75,22 +75,10 @@ class OperatorSum:
         return f"OperatorSum({len(self.terms)} terms)"
 
 
-def _first_difference(a: Mapping, b: Mapping) -> tuple | None:
-    """First key (sorted) whose multiplicities differ, a missing key counting
-    as 0, with both values."""
-    if a == b:
-        return None
-    for key in sorted(a.keys() | b.keys()):
-        x, y = a.get(key, 0), b.get(key, 0)
-        if x != y:
-            return key, x, y
-    return None
-
-
 def _compare(what: str, a: Mapping, b: Mapping, text: Callable[[tuple], str]) -> None:
     """Raise SelfCheckError naming, as text, the first integer key whose
     multiplicities differ."""
-    witness = _first_difference(a, b)
+    witness = first_difference(a, b)
     if witness is not None:
         raise SelfCheckError(f"{what} mismatch at {text(witness[0])}: {witness[1]} vs {witness[2]}")
 

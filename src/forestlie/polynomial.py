@@ -7,6 +7,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import dyck, forests
+from .errors import first_difference
 
 TermKey = tuple[int, tuple[int, ...]]  # (power of B, exponent vector)
 
@@ -129,11 +130,9 @@ def sigma_bruteforce(k: int) -> MultiPoly:
 def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int, int] | None]:
     """Exact equality; on failure also return (term key, coeff in a, coeff in b)
     for the canonically first differing term."""
-    if a.terms == b.terms and a.nvars == b.nvars:
-        return True, None
-    for key in sorted(set(a.terms) | set(b.terms)):
-        ca, cb = a.terms.get(key, 0), b.terms.get(key, 0)
-        if ca != cb:
-            return False, (key, ca, cb)
-    # same terms but different declared variable counts
-    return False, ((0, ()), a.nvars, b.nvars)
+    witness = first_difference(a.terms, b.terms)
+    if witness is not None:
+        return False, witness
+    if a.nvars != b.nvars:  # same terms but different declared variable counts
+        return False, ((0, ()), a.nvars, b.nvars)
+    return True, None

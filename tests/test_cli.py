@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
 import re
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from forestlie import checks, cli, compositions, dyck, operators, polynomial
+from forestlie import checks, cli, compositions, dyck, operators, partitions, polynomial
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -185,8 +188,8 @@ def test_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "coeff", "--p", "2,0")
     assert code == 2
     assert "not a Dyck vector" in err
-    assert run(capsys, "dyck", "--k", "-1", "--coeffs") == (2, "", "error: k must be >= 0\n")
-    for argv, flag in [(["coeff", "--p", "0,1,x"], "--p"),
+    for argv, flag in [(["dyck", "--k", "-1", "--coeffs"], "--k"),
+                       (["coeff", "--p", "0,1,x"], "--p"),
                        (["clambda", "--lambda", "1,x"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
                        (["verify", "--max-k", "-1"], "--max-k"),
@@ -215,13 +218,74 @@ def test_row_budget(capsys, monkeypatch):
     assert dyck.catalan(7) * math.comb(9, 6) <= cli.ROW_BUDGET
     monkeypatch.setattr(cli, "ROW_BUDGET", 4)
     code, out, err = run(capsys, "dyck", "--k", "3")
-    assert (code, out) == (2, "") and "Catalan(k+1) = 14 rows" in err and "--force" in err
+    assert (code, out) == (2, "") and "Catalan(k+1) rows" in err and "--force" in err
     code, out, _ = run(capsys, "dyck", "--k", "3", "--force")
     assert code == 0 and len(out.splitlines()) == 14
     code, out, err = run(capsys, "estimate", "--k", "1", "--h", "2")
-    assert (code, out) == (2, "") and "= 6 rows" in err
+    assert (code, out) == (2, "") and "Catalan(k+1)*C(h+k,k) rows" in err
     assert run(capsys, "estimate", "--k", "1", "--h", "2", "--force")[0] == 0
-    assert run(capsys, "dyck", "--k", "-1") == (2, "", "error: k must be >= 0\n")
+    code, out, err = run(capsys, "dyck", "--k", "-1")
+    assert (code, out) == (2, "") and "--k" in err
+
+
+# Each guarded command: the count of what it lists or enumerates at size j,
+# the budget bounding that count, and the largest k allowed without --force.
+BUDGET_TABLE = [
+    (["dyck"], lambda j: dyck.catalan(j + 1), "ROW_BUDGET", 11),
+    (["sigma"], lambda j: dyck.catalan(j + 1), "ROW_BUDGET", 11),
+    (["sigma", "--check"], lambda j: math.factorial(j + 1), "ENUM_BUDGET", 9),
+    (["pullback"], partitions.bell, "ENUM_BUDGET", 12),
+    (["lie"], lambda j: math.factorial(j + 1), "ROW_BUDGET", 7),
+    (["estimate", "--h", "3"], lambda j: dyck.catalan(j + 1) * math.comb(3 + j, j), "ROW_BUDGET", 7),
+    (["estimate", "--h", "2"], lambda j: dyck.catalan(j + 1) * math.comb(2 + j, j), "ROW_BUDGET", 8),
+]
+
+
+@pytest.mark.parametrize("argv, count, budget, largest", BUDGET_TABLE,
+                         ids=[" ".join(row[0]) for row in BUDGET_TABLE])
+def test_budget_boundaries(capsys, argv, count, budget, largest):
+    args = argparse.Namespace(command=argv[0], force=False)
+    for k, refused in [(largest, False), (largest + 1, True)]:
+        args.k = k
+        assert cli.over_budget(args, count, "counts", getattr(cli, budget)) is refused, k
+    args.force = True
+    assert cli.over_budget(args, count, "counts", 0) is False
+    code, out, err = run(capsys, *argv, "--k", str(largest + 1))  # refused before any work
+    assert (code, out) == (2, "") and "--force" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyck", "--k", "1000000000"],
+    ["sigma", "--k", "1000000000"],
+    ["sigma", "--k", "1000000000", "--check"],
+    ["lie", "--k", "1000000000"],
+    ["pullback", "--k", "1000000000"],
+    ["estimate", "--k", "1000000000", "--h", "1"],
+    ["estimate", "--k", "1", "--h", "1000000000"],
+], ids=" ".join)
+def test_oversized_requests_never_hang(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert "--force" in err and "Traceback" not in err
+
+
+def test_coeff_prints_exact_values_of_any_size(capsys):
+    # C_P of fifteen thousand ones is 2^15000, 4,516 digits: over the
+    # interpreter's default limit on int-to-str conversion
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        p = ",".join(["1"] * 15000)
+        code, out, _ = run(capsys, "coeff", "--p", p)
+        assert code == 0 and out.splitlines()[-1] == f"C_P = {2 ** 15000}"
+        code, out, _ = run(capsys, "coeff", "--p", p, "--format", "json")
+        assert code == 0 and json.loads(out)["c"] == 2 ** 15000
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
