@@ -2,7 +2,8 @@
 suites, and table emission.
 
 Exit codes: 0 on success, 1 when a verification fails (the first witness is
-reported), 2 on usage errors and on sizes over a budget without ``--force``.
+reported), 2 on usage errors and on sizes over a budget without ``--force``,
+141 when the reader closes stdout early.
 Data output is deterministic for fixed flags; the ``--format`` switch changes
 serialization only, never values.
 """
@@ -80,7 +81,7 @@ def emit(args, payload, table, text) -> None:
     only what it prints: payload() returns the JSON value, table() the CSV
     rows as dicts (the header is the first row's keys; list and tuple cells
     are space-joined), text() the text lines.  With --ascii the empty root
-    '∘' prints as 'o'.
+    '∘' prints as 'o' in text and csv; JSON output escapes it anyway.
     """
     if args.format == "json":
         s = json.dumps(payload(), indent=2)
@@ -328,13 +329,19 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; fd 1 goes to /dev/null so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except SelfCheckError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import SelfCheckError
+from .errors import compare
 
 
 def validate_composition(parts: Sequence[int]) -> None:
@@ -33,18 +33,18 @@ def enumerate_compositions(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def coeff_clambda(parts: Sequence[int]) -> int:
-    """|lambda|! / prod_j [(lambda_j - 1)! * |lambda|_j], an exact integer."""
+    """|lambda|! / prod_j [(lambda_j - 1)! * |lambda|_j], an exact integer.
+
+    Computed as prod_j C(S_j - 1, lambda_j - 1) over the partial sums S_j,
+    whose ratios telescope to the quotient above, so no |lambda|! is built.
+    """
     validate_composition(parts)
-    num = math.factorial(sum(parts))
-    den = 1
+    value = 1
     partial = 0
     for part in parts:
         partial += part
-        den *= math.factorial(part - 1) * partial
-    q, r = divmod(num, den)
-    if r:
-        raise SelfCheckError(f"coefficient of {tuple(parts)} is not an integer: {num}/{den}")
-    return q
+        value *= math.comb(partial - 1, part - 1)
+    return value
 
 
 def successors(parts: Sequence[int]) -> list[tuple[int, ...]]:
@@ -105,14 +105,9 @@ def pullback_coefficients(k: int, check: bool = True) -> dict[tuple[int, ...], i
     if check:
         from . import partitions
 
-        for lam, iterated, closed, counted in pullback_threeway(k, state):
-            if not (iterated == closed == counted):
-                raise SelfCheckError(
-                    f"coefficient of {lam} disagrees: iterated {iterated}, formula {closed}, partitions {counted}"
-                )
-        total = sum(state.values())
-        if total != partitions.bell(k):
-            raise SelfCheckError(f"coefficient total {total} is not the Bell number {partitions.bell(k)}")
+        compare("pullback formula", state, {lam: coeff_clambda(lam) for lam in enumerate_compositions(k)})
+        compare("pullback partition census", state, partitions.shape_census(k))
+        compare("pullback Bell total", {k: sum(state.values())}, {k: partitions.bell(k)})
     return state
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 
 class SelfCheckError(RuntimeError):
@@ -23,3 +23,11 @@ def first_difference(a: Mapping, b: Mapping) -> tuple | None:
         if x != y:
             return key, x, y
     return None
+
+
+def compare(what: str, a: Mapping, b: Mapping, text: Callable = repr) -> None:
+    """Raise SelfCheckError naming the construction that disagreed and, as
+    text, the first key whose values differ, with both values."""
+    witness = first_difference(a, b)
+    if witness is not None:
+        raise SelfCheckError(f"{what} mismatch at {text(witness[0])}: {witness[1]} vs {witness[2]}")

@@ -10,11 +10,13 @@ the father map and always reported in increasing label order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
+from .errors import compare
 
 
 class _EmptyRoot:
@@ -307,8 +309,6 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
     (n+1 for the empty root), as graft would: grafting j below v makes j the
     first child of v, so j follows v in the preorder of the new tree.
     """
-    from .errors import SelfCheckError
-
     ordered = sorted(labels, key=label_key)
     for v, w in zip(ordered, ordered[1:] + [ROOT]):
         if label_key(v) >= label_key(w):
@@ -318,11 +318,11 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
     for j in range(n, 0, -1):
         trees = [((v, *fa), pre[:i + 1] + (j,) + pre[i + 1:]) for fa, pre in trees for i, v in enumerate(pre)]
     got = [fa for fa, _ in trees]
-    # every tree on the labels plus the empty root: label i picks a father among i+1..n+1
-    expected = set(itertools.product(*[range(i + 1, n + 2) for i in range(1, n + 1)]))
-    if len(got) != len(set(got)) or set(got) != expected:
-        raise SelfCheckError(f"grafting expansion of {ordered} does not match the tree enumeration")
     nodes = (*ordered, ROOT)
+    # every tree on the labels plus the empty root, once: label i picks a father among i+1..n+1
+    expected = itertools.product(*[range(i + 1, n + 2) for i in range(1, n + 1)])
+    compare("grafting expansion", Counter(got), dict.fromkeys(expected, 1),
+            text=lambda fa: _forest(nodes, fa).text())
     return [_forest(nodes, fa) for fa in got]
 
 

@@ -24,7 +24,7 @@ import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import dyck, forests, partitions
-from .errors import SelfCheckError, first_difference
+from .errors import compare, first_difference
 from .forests import Forest
 # operators.enumerate_partitions stays importable: bench/tracing.py wraps it
 from .partitions import SetPartition, enumerate_partitions  # noqa: F401
@@ -73,14 +73,6 @@ class OperatorSum:
 
     def __repr__(self) -> str:
         return f"OperatorSum({len(self.terms)} terms)"
-
-
-def _compare(what: str, a: Mapping, b: Mapping, text: Callable[[tuple], str]) -> None:
-    """Raise SelfCheckError naming, as text, the first integer key whose
-    multiplicities differ."""
-    witness = first_difference(a, b)
-    if witness is not None:
-        raise SelfCheckError(f"{what} mismatch at {text(witness[0])}: {witness[1]} vs {witness[2]}")
 
 
 def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> OperatorSum:
@@ -134,7 +126,7 @@ def expand_lie_partitions(k: int) -> OperatorSum:
     if k < 1:
         raise ValueError("k must be >= 1")
     closed = _partitions_closed(k)
-    _compare("partition expansion", closed, _partitions_recurrence(k), partitions._growth_text)
+    compare("partition expansion", closed, _partitions_recurrence(k), partitions._growth_text)
     return _rendered(closed, partitions._growth_text)
 
 
@@ -169,7 +161,7 @@ def _lie_forests(k: int) -> dict[tuple[int, ...], int]:
     """The forest expansion keyed by father indices: the closed form, checked
     against the partition refinement."""
     closed = _forests_closed(k)
-    _compare("forest expansion", closed, _forests_from_partitions(k), forests._text)
+    compare("forest expansion", closed, _forests_from_partitions(k), forests._text)
     return closed
 
 
@@ -215,7 +207,7 @@ def lie_chain_oracle(k: int) -> OperatorSum:
     if k < 1:
         raise ValueError("k must be >= 1")
     state = _lie_chain(k)
-    _compare("oracle", state, _lie_forests(k), forests._text)
+    compare("oracle", state, _lie_forests(k), forests._text)
     return _rendered(state, forests._text)
 
 
@@ -227,18 +219,14 @@ def leibniz_split(h: int, l: int) -> list[tuple[int, ...]]:
 
 
 def leibniz_fiber_counts(h: int, l: int) -> dict[tuple[int, ...], int]:
-    """Group the maps [h] -> [l] by fiber-size vector; the count of each
-    vector H is the multinomial h!/prod(h_j!)."""
+    """Group the maps [h] -> [l] by fiber-size vector; each weak composition
+    H of h into l parts occurs, with the multinomial count h!/prod(h_j!)."""
     counts: dict[tuple[int, ...], int] = {}
     for mu in leibniz_split(h, l):
         sizes = tuple(mu.count(v) for v in range(1, l + 1))
         counts[sizes] = counts.get(sizes, 0) + 1
-    for sizes, count in counts.items():
-        expected = math.factorial(h)
-        for s in sizes:
-            expected //= math.factorial(s)
-        if count != expected:
-            raise SelfCheckError(f"fiber count of {sizes} is {count}, expected multinomial {expected}")
+    compare("fiber count", counts, {sizes: math.factorial(h) // math.prod(map(math.factorial, sizes))
+                                    for sizes in weak_compositions(h, l)})
     return counts
 
 

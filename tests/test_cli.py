@@ -1,7 +1,9 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,6 +14,7 @@ from forestlie import checks, cli, compositions, dyck, operators, partitions, po
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 # Exact stdout of each command in each format; verify's elapsed time is
 # masked to 0.
@@ -295,8 +298,9 @@ def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
     code, _, err = run(capsys, "pullback", "--k", "3")
     assert code == 1
     assert "first witness" in err
-    with pytest.raises(SelfCheckError):
+    with pytest.raises(SelfCheckError) as exc:
         compositions.pullback_coefficients(3, check=True)
+    assert str(exc.value) == "pullback formula mismatch at (1, 2): 2 vs 3"
     code, _, err = run(capsys, "verify", "--max-k", "3")
     assert code == 1
     assert "first witness: pullback[" in err
@@ -327,3 +331,16 @@ def test_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv("FORESTLIE_JOBS", "2")
     code, out, _ = run(capsys, "verify", "--max-k", "1")
     assert code == 0
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # dyck --k 10 prints 58,786 lines, more than a pipe holds, so the write
+    # fails once the reader has closed its end
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "forestlie.cli", "dyck", "--k", "10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"(0,0,0,0,0,0,0,0,0,0)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

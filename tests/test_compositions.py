@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,27 @@ def test_coeff_examples():
     assert compositions.coeff_clambda(()) == 1
     for k in range(1, 12):
         assert compositions.coeff_clambda((1,) * k) == 1
+
+
+def clambda_by_factorials(lam):
+    """The reference quotient |lambda|! / prod_j [(lambda_j - 1)! * S_j]."""
+    den = 1
+    partial = 0
+    for part in lam:
+        partial += part
+        den *= math.factorial(part - 1) * partial
+    q, r = divmod(math.factorial(partial), den)
+    assert r == 0
+    return q
+
+
+def test_coeff_matches_factorial_quotient():
+    for k in range(11):
+        for lam in compositions.enumerate_compositions(k):
+            assert compositions.coeff_clambda(lam) == clambda_by_factorials(lam)
+    # one large part: the binomial product builds no |lambda|!
+    assert compositions.coeff_clambda((100000,)) == 1
+    assert compositions.coeff_clambda((1, 100000)) == 100000
 
 
 def test_derive_step():
