@@ -2,92 +2,42 @@
 partitions, strictly decreasing labeled forests, Dyck polynomials, and the
 formal expansion of products of Lie derivatives, with every closed formula
 cross-checked against an independent brute-force construction.
+
+Each public name is imported from its home module on first access (PEP 562),
+so ``import forestlie`` loads no kernel module until one of its names is used.
 """
 
-from .compositions import (
-    coeff_clambda,
-    enumerate_compositions,
-    derive_step,
-    predecessors,
-    pullback_coefficients,
-    verify_key_identity,
-)
-from .dyck import (
-    catalan,
-    coeff_cp,
-    deficit_profile,
-    enumerate_dyck,
-    path_to_vector,
-    vector_to_path,
-)
-from .errors import SelfCheckError
-from .forests import (
-    ROOT,
-    Forest,
-    Primed,
-    cprime,
-    decorate,
-    enumerate_forests,
-    enumerate_trees,
-    expand_covariant,
-    fiber,
-    graft,
-    monomial,
-    prune,
-)
-from .operators import (
-    OperatorSum,
-    estimate_certificate,
-    expand_lie_forests,
-    expand_lie_partitions,
-    leibniz_split,
-    lie_chain_oracle,
-)
-from .partitions import SetPartition, bell, count_by_shape, enumerate_partitions, partition_to_path, path_to_partition
-from .polynomial import MultiPoly, poly_equal, sigma_bruteforce, sigma_formula
+import importlib
+
+# home module -> the public names it exports
+_EXPORTS = {
+    "compositions": ("coeff_clambda", "enumerate_compositions", "derive_step", "predecessors",
+                     "pullback_coefficients", "verify_key_identity"),
+    "dyck": ("catalan", "coeff_cp", "deficit_profile", "enumerate_dyck", "path_to_vector", "vector_to_path"),
+    "errors": ("SelfCheckError",),
+    "forests": ("ROOT", "Forest", "Primed", "cprime", "decorate", "enumerate_forests", "enumerate_trees",
+                "expand_covariant", "fiber", "graft", "monomial", "prune"),
+    "operators": ("OperatorSum", "estimate_certificate", "expand_lie_forests", "expand_lie_partitions",
+                  "leibniz_split", "lie_chain_oracle"),
+    "partitions": ("SetPartition", "bell", "count_by_shape", "enumerate_partitions", "partition_to_path",
+                   "path_to_partition"),
+    "polynomial": ("MultiPoly", "poly_equal", "sigma_bruteforce", "sigma_formula"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Forest",
-    "MultiPoly",
-    "OperatorSum",
-    "Primed",
-    "ROOT",
-    "SelfCheckError",
-    "SetPartition",
-    "bell",
-    "catalan",
-    "coeff_clambda",
-    "coeff_cp",
-    "count_by_shape",
-    "cprime",
-    "decorate",
-    "deficit_profile",
-    "derive_step",
-    "enumerate_compositions",
-    "enumerate_dyck",
-    "enumerate_forests",
-    "enumerate_partitions",
-    "enumerate_trees",
-    "estimate_certificate",
-    "expand_covariant",
-    "expand_lie_forests",
-    "expand_lie_partitions",
-    "fiber",
-    "graft",
-    "leibniz_split",
-    "lie_chain_oracle",
-    "monomial",
-    "partition_to_path",
-    "path_to_partition",
-    "path_to_vector",
-    "poly_equal",
-    "predecessors",
-    "prune",
-    "pullback_coefficients",
-    "sigma_bruteforce",
-    "sigma_formula",
-    "vector_to_path",
-    "verify_key_identity",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # an unknown name raises, so `from forestlie import cli` imports the submodule
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

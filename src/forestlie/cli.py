@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 when a verification fails (the first witness is
 reported), 2 on usage errors and on sizes over a budget without ``--force``,
 141 when the reader closes stdout early.
 Data output is deterministic for fixed flags; the ``--format`` switch changes
-serialization only, never values.
+serialization only, never values.  Each command imports the kernel modules it
+runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from . import checks, compositions, dyck, operators, partitions, polynomial
-from .checks import CHECKS, run  # CHECKS is re-exported: cli.CHECKS is checks.CHECKS
 from .errors import SelfCheckError
 
 # rows or terms a command lists without --force: about 10 and 17 us a row for
@@ -31,6 +29,19 @@ ROW_BUDGET = 250_000
 # objects a command enumerates only to check itself: admits sigma --check
 # k <= 9 (10! forests) and pullback k <= 12 (Bell(12) = 4,213,597 partitions)
 ENUM_BUDGET = 5_000_000
+# digits of C_lambda that clambda prints without --force: printing an int takes
+# time quadratic in its digits, so clambda --lambda 99000,99000 (59,601 digits)
+# takes 0.7-0.9 s and --lambda 200000,200000 (120,410 digits) 2.1 s (2 vCPUs, Python 3.11)
+DIGIT_BUDGET = 60_000
+
+
+def __getattr__(name: str):
+    # cli.CHECKS is checks.CHECKS, read at access time without importing checks up front
+    if name == "CHECKS":
+        from . import checks
+
+        return checks.CHECKS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def vec_text(p) -> str:
@@ -63,15 +74,42 @@ def positive_int(s: str) -> int:
     return n
 
 
-def over_budget(args, count, what: str, budget: int) -> bool:
-    """True, after saying so on stderr, if count(args.k) exceeds budget and
-    --force is not given.  count must increase with k: it is evaluated at
-    0, 1, ..., k up to the first value over budget, so no huge integer is built."""
-    if args.force or all(count(j) <= budget for j in range(args.k + 1)):
+def over_budget(args, count, what: str, budget: int, n: int | None = None, size: str = "k") -> bool:
+    """True, after saying so on stderr, if count(n) exceeds budget and --force
+    is not given; n is args.k unless given, and size names it in the message.
+    count must increase with its argument: it is evaluated at 0, 1, ..., n up
+    to the first value over budget, so no huge integer is built."""
+    n = args.k if n is None else n
+    if args.force or all(count(j) <= budget for j in range(n + 1)):
         return False
-    print(f"{args.command} {what}: more than {budget} at k={args.k}; refusing without --force",
+    print(f"{args.command} {what}: more than {budget} at {size}={n}; refusing without --force",
           file=sys.stderr)
     return True
+
+
+def log10_binomial(n: int, r: int) -> float:
+    """log10 C(n, r) from lgamma, for a cost estimate: within about 100 of it
+    wherever it is below 10**7, and inf once min(r, n - r) reaches 2**53."""
+    r = min(r, n - r)
+    if r >= 2**53:
+        return math.inf
+    if n < 2**53:
+        return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(10)
+    # here lgamma(n + 1) would round the factor away.  n(n-1)...(n-r+1) lies in
+    # [n**r * exp(-r*r/n), n**r]: below r = sqrt(n) n**r is off by under half a
+    # digit, and above it C(n, r) >= 2**r has more than 10**7 digits anyway
+    return r * math.log10(n) - math.lgamma(r + 1) / math.log(10)
+
+
+def clambda_digits(parts) -> list[float]:
+    """About how many digits C_lambda of the first j parts has, j = 0, 1, ...,
+    len(parts): 1 + log10 of prod_j C(S_j - 1, lambda_j - 1) over the partial
+    sums S_j.  Each factor is at least 1, so the list increases."""
+    digits, partial = [1.0], 0
+    for part in parts:
+        partial += part
+        digits.append(digits[-1] + log10_binomial(partial - 1, part - 1))
+    return digits
 
 
 def emit(args, payload, table, text) -> None:
@@ -107,6 +145,8 @@ def emit(args, payload, table, text) -> None:
 
 
 def cmd_dyck(args) -> int:
+    from . import dyck
+
     if over_budget(args, lambda j: dyck.catalan(j + 1), "lists Catalan(k+1) rows", ROW_BUDGET):
         return 2
     if args.coeffs:
@@ -119,6 +159,8 @@ def cmd_dyck(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from . import dyck
+
     p = args.p
     deficits = dyck.deficit_profile(p)
     value = dyck.coeff_cp(p)
@@ -136,6 +178,13 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_clambda(args) -> int:
+    from . import compositions
+
+    compositions.validate_composition(args.parts)
+    digits = clambda_digits(args.parts)
+    if over_budget(args, digits.__getitem__, "prints about 1+log10(C_lambda) digits", DIGIT_BUDGET,
+                   n=len(args.parts), size="len(lambda)"):
+        return 2
     value = compositions.coeff_clambda(args.parts)
     data = {"lambda": args.parts, "c": value}
     emit(args, lambda: data, lambda: [data], lambda: [str(value)])
@@ -143,6 +192,8 @@ def cmd_clambda(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    from . import compositions, partitions
+
     k = args.k
     if over_budget(args, partitions.bell, "enumerates Bell(k) set partitions", ENUM_BUDGET):
         return 2
@@ -168,6 +219,8 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    from . import dyck, polynomial
+
     k = args.k
     if (over_budget(args, lambda j: dyck.catalan(j + 1), "lists Catalan(k+1) terms", ROW_BUDGET)
             or args.check and over_budget(args, lambda j: math.factorial(j + 1),
@@ -195,6 +248,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    from . import operators
+
     k = args.k
     if over_budget(args, lambda j: math.factorial(j + 1), "lists (k+1)! terms", ROW_BUDGET):
         return 2
@@ -210,6 +265,8 @@ def cmd_lie(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import dyck, operators
+
     k, h = args.k, args.h
     if over_budget(args, lambda j: dyck.catalan(j + 1) * math.comb(h + j, j),
                    "lists Catalan(k+1)*C(h+k,k) rows", ROW_BUDGET):
@@ -229,14 +286,18 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     start = time.monotonic()
     names = [name for name, _ in checks.CHECKS]  # read at call time, as run does
     ceilings = [args.max_k] * len(names)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, names, ceilings))
+            results = list(pool.map(checks.run, names, ceilings))
     else:
-        results = list(map(run, names, ceilings))
+        results = list(map(checks.run, names, ceilings))
     rows = [c for result in results for c in result]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     first = next((c for c in rows if not c["ok"]), None)
@@ -286,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clambda", parents=[common], help="pull-back coefficient of one composition")
     p.add_argument("--lambda", dest="parts", type=int_vector, required=True,
                    help="comma-separated parts, e.g. 1,2")
+    p.add_argument("--force", action="store_true", help="allow more than the digit budget")
     p.set_defaults(fn=cmd_clambda)
 
     p = sub.add_parser("pullback", parents=[common],

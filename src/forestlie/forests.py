@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,11 +28,31 @@ class _EmptyRoot:
 ROOT = _EmptyRoot()
 
 
-@dataclass(frozen=True)
 class Primed:
-    """A label from the second alphabet 1', 2', ...; orders below all ints."""
+    """A label from the second alphabet 1', 2', ...; orders below all ints.
 
-    n: int
+    An immutable value: two are equal, with equal hashes, iff their numbers are.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Primed")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Primed")
+
+    def __eq__(self, other):
+        return self.n == other.n if other.__class__ is Primed else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))  # the hash of the frozen dataclass it replaces, so set orders stay
+
+    def __reduce__(self):
+        return Primed, (self.n,)  # pickle and deepcopy rebuild through __init__
 
     def __repr__(self) -> str:
         return f"{self.n}'"

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -265,6 +266,7 @@ def test_budget_boundaries(capsys, argv, count, budget, largest):
     ["pullback", "--k", "1000000000"],
     ["estimate", "--k", "1000000000", "--h", "1"],
     ["estimate", "--k", "1", "--h", "1000000000"],
+    ["clambda", "--lambda", "1000000,1000000"],
 ], ids=" ".join)
 def test_oversized_requests_never_hang(capsys, argv):
     start = time.monotonic()
@@ -272,6 +274,33 @@ def test_oversized_requests_never_hang(capsys, argv):
     assert time.monotonic() - start < 1
     assert (code, out) == (2, "")
     assert "--force" in err and "Traceback" not in err
+
+
+def test_clambda_digit_budget(capsys, monkeypatch):
+    # C_(5,5) = C(9,4) = 126 and C_(2,3) = C(4,2) = 6: three digits and one
+    monkeypatch.setattr(cli, "DIGIT_BUDGET", 2)
+    code, out, err = run(capsys, "clambda", "--lambda", "5,5")
+    assert (code, out) == (2, "") and "digits" in err and "--force" in err
+    assert run(capsys, "clambda", "--lambda", "5,5", "--force")[:2] == (0, "126\n")
+    assert run(capsys, "clambda", "--lambda", "2,3")[:2] == (0, "6\n")
+    code, out, err = run(capsys, "clambda", "--lambda", "1,0")
+    assert (code, out) == (2, "") and "not a composition" in err
+    monkeypatch.undo()
+    assert run(capsys, "clambda", "--lambda", "2000000")[:2] == (0, "1\n")  # one factor C(n, n) = 1
+
+
+def test_clambda_digit_estimate():
+    rng = random.Random(7)
+    for _ in range(500):
+        lam = tuple(rng.randint(1, rng.choice([3, 30, 300])) for _ in range(rng.randint(0, 6)))
+        digits = cli.clambda_digits(lam)
+        assert len(digits) == len(lam) + 1 and digits == sorted(digits)
+        assert abs(digits[-1] - len(str(compositions.coeff_clambda(lam)))) < 1, lam
+    # past 2**53, where lgamma rounds a factor away, the estimate is still a digit count
+    assert cli.clambda_digits((1, 10 ** 20))[-1] == 21
+    assert cli.clambda_digits((1, 10 ** 400))[-1] == 401
+    assert abs(cli.clambda_digits((10 ** 20, 5))[-1] - len(str(math.comb(10 ** 20 + 4, 4)))) < 1
+    assert cli.clambda_digits((10 ** 30, 10 ** 30))[-1] == math.inf
 
 
 def test_coeff_prints_exact_values_of_any_size(capsys):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -16,6 +18,24 @@ def F(father, labels=None):
 def test_label_order():
     ordering = sorted([ROOT, 3, Primed(9), 1, Primed(2)], key=forests.label_key)
     assert ordering == [Primed(2), Primed(9), 1, 3, ROOT]
+
+
+def test_primed_is_an_immutable_value():
+    a, b = Primed(2), Primed(2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Primed(3) and a != 2 and a != (2,)
+    assert len({a, b, Primed(3)}) == 2
+    with pytest.raises(AttributeError):
+        a.n = 3
+    with pytest.raises(AttributeError):
+        a.other = 3
+    with pytest.raises(AttributeError):
+        del a.n
+    assert a.n == 2 and repr(a) == "2'" and forests.label_str(a) == "2'"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+    assert copy.copy(a) == copy.deepcopy(a) == a
+    assert copy.deepcopy({a: [a]}) == {a: [a]}
 
 
 def test_forest_validation():
