@@ -11,11 +11,11 @@ import importlib
 
 # home module -> the public names it exports
 _EXPORTS = {
-    "compositions": ("coeff_clambda", "enumerate_compositions", "derive_step", "predecessors",
-                     "pullback_coefficients", "verify_key_identity"),
+    "compositions": ("coeff_clambda", "enumerate_compositions", "derive_step", "pullback_coefficients",
+                     "verify_key_identity"),
     "dyck": ("catalan", "coeff_cp", "deficit_profile", "enumerate_dyck", "path_to_vector", "vector_to_path"),
     "errors": ("SelfCheckError",),
-    "forests": ("ROOT", "Forest", "Primed", "cprime", "decorate", "enumerate_forests", "enumerate_trees",
+    "forests": ("ROOT", "Forest", "Primed", "cprime", "decorate", "enumerate_forests",
                 "expand_covariant", "fiber", "graft", "monomial", "prune"),
     "operators": ("OperatorSum", "estimate_certificate", "expand_lie_forests", "expand_lie_partitions",
                   "leibniz_split", "lie_chain_oracle"),

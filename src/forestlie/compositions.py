@@ -72,24 +72,6 @@ def derive_step(s: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     return out
 
 
-def predecessors(parts: Sequence[int]) -> list[tuple[int, ...]]:
-    """The compositions of |parts| - 1 one derivation step below parts.
-
-    Obtained by removing a leading 1, or by decreasing any part >= 2.
-    """
-    validate_composition(parts)
-    lam = tuple(parts)
-    if sum(lam) < 1:
-        raise ValueError("the empty composition has no predecessors")
-    out: list[tuple[int, ...]] = []
-    if lam[0] == 1:
-        out.append(lam[1:])
-    for j, part in enumerate(lam):
-        if part >= 2:
-            out.append(lam[:j] + (part - 1,) + lam[j + 1:])
-    return out
-
-
 def pullback_coefficients(k: int, check: bool = True) -> dict[tuple[int, ...], int]:
     """Coefficients of the k-th derivation power applied to the empty composition.
 

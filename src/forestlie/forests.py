@@ -21,6 +21,9 @@ from .errors import compare
 class _EmptyRoot:
     __slots__ = ()
 
+    def __reduce__(self):
+        return "ROOT"  # pickle and copy hand back the one ROOT, so `v is ROOT` holds
+
     def __repr__(self) -> str:
         return "∘"
 
@@ -69,18 +72,10 @@ def label_key(v) -> tuple[int, int]:
     raise ValueError(f"not a forest label: {v!r}")
 
 
-def label_str(v, ascii_root: bool = False) -> str:
+def label_str(v) -> str:
     if v is ROOT:
-        return "o" if ascii_root else "∘"
+        return "∘"
     return repr(v) if isinstance(v, Primed) else str(v)
-
-
-def parse_label(s: str):
-    if s in ("o", "∘"):
-        return ROOT
-    if s.endswith("'"):
-        return Primed(int(s[:-1]))
-    return int(s)
 
 
 class Forest:
@@ -116,6 +111,9 @@ class Forest:
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
 
+    def __reduce__(self):
+        return Forest, (self.labels, self.father)  # pickle and copy rebuild through __init__
+
     @property
     def roots(self) -> tuple:
         return tuple(v for v in self.labels if v not in self.father)
@@ -130,32 +128,6 @@ class Forest:
     def nchild(self, v) -> int:
         return len(self._children[v])
 
-    def descendants(self, v) -> tuple:
-        """v together with everything below it, in increasing label order."""
-        out = []
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(self._children[node])
-        return tuple(sorted(out, key=label_key))
-
-    def subtree(self, v) -> "Forest":
-        nodes = self.descendants(v)
-        node_set = set(nodes)
-        return Forest(nodes, {w: self.father[w] for w in nodes if self.father.get(w) in node_set})
-
-    def trees(self) -> list["Forest"]:
-        return [self.subtree(r) for r in self.roots]
-
-    def drop_max_tree(self) -> "Forest":
-        """The forest with the tree rooted at the maximal label removed."""
-        if not self.labels:
-            return self
-        gone = set(self.descendants(self.labels[-1]))
-        keep = [v for v in self.labels if v not in gone]
-        return Forest(keep, {v: f for v, f in self.father.items() if v not in gone})
-
     def preorder(self) -> list:
         """Roots in increasing order, each followed by its subtree depth-first."""
         out = []
@@ -169,27 +141,14 @@ class Forest:
             visit(r)
         return out
 
-    def text(self, ascii_root: bool = False) -> str:
+    def text(self) -> str:
         """Canonical nested form, one group per tree ordered by root label."""
 
         def node(v) -> str:
             inner = "".join(" " + node(c) for c in self._children[v])
-            return f"({label_str(v, ascii_root)}{inner})"
+            return f"({label_str(v)}{inner})"
 
         return " ".join(node(r) for r in self.roots)
-
-    def to_json(self) -> dict:
-        return {
-            "labels": [label_str(v, ascii_root=True) for v in self.labels],
-            "father": {label_str(v, ascii_root=True): label_str(f, ascii_root=True)
-                       for v, f in sorted(self.father.items(), key=lambda it: label_key(it[0]))},
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Forest":
-        labels = [parse_label(s) for s in data["labels"]]
-        father = {parse_label(v): parse_label(f) for v, f in data.get("father", {}).items()}
-        return cls(labels, father)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Forest) and self.labels == other.labels and self.father == other.father
@@ -284,24 +243,6 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
         raise ValueError("duplicate labels")
     for fa in _father_arrays(len(ordered) - 1):
         yield _forest(ordered, fa)
-
-
-def trees_on(nodes: Sequence) -> Iterator[Forest]:
-    """All strictly decreasing trees on a node set (rooted at its maximum)."""
-    ordered = tuple(sorted(nodes, key=label_key))
-    if not ordered:
-        raise ValueError("a tree needs at least one node")
-    options = [ordered[i + 1:] for i in range(len(ordered) - 1)]
-    for choice in itertools.product(*options):
-        yield Forest(ordered, dict(zip(ordered, choice)))
-
-
-def enumerate_trees(labels: Iterable) -> Iterator[Forest]:
-    """All |S|! trees with node set S plus the empty root."""
-    ordered = tuple(sorted(labels, key=label_key))
-    if ordered and ordered[-1] is ROOT:
-        raise ValueError("the empty root is implied and must not be passed")
-    yield from trees_on(ordered + (ROOT,))
 
 
 def graft(tree: Forest, j) -> list[Forest]:

@@ -24,10 +24,9 @@ import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import dyck, forests, partitions
-from .errors import compare, first_difference
-from .forests import Forest
+from .errors import compare
 # operators.enumerate_partitions stays importable: bench/tracing.py wraps it
-from .partitions import SetPartition, enumerate_partitions  # noqa: F401
+from .partitions import enumerate_partitions  # noqa: F401
 
 
 class OperatorSum:
@@ -61,13 +60,6 @@ class OperatorSum:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorSum) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def difference_witness(self, other: "OperatorSum") -> tuple[str, int, int] | None:
-        """First key (sorted) whose multiplicities differ, with both values."""
-        return first_difference(self.terms, other.terms)
-
     def to_json(self) -> list[dict]:
         return [{"key": key, "sign": mult} for key, mult in self.items()]
 
@@ -77,14 +69,6 @@ class OperatorSum:
 
 def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> OperatorSum:
     return OperatorSum({text(key): mult for key, mult in terms.items()})
-
-
-def partition_sign(part: SetPartition) -> int:
-    return -1 if (len(part.blocks) - 1) % 2 else 1
-
-
-def forest_sign(forest: Forest) -> int:
-    return -1 if (forest.tree_count - 1) % 2 else 1
 
 
 def _partitions_closed(k: int) -> dict[tuple[int, ...], int]:

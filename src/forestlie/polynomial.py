@@ -46,33 +46,12 @@ class MultiPoly:
     def items(self) -> Iterator[tuple[TermKey, int]]:
         return iter(sorted(self.terms.items()))
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        out = MultiPoly(self.nvars, self.terms)
-        for (bdeg, expo), coeff in other.terms.items():
-            out.add_term(coeff, bdeg, expo)
-        return out
-
-    def mul_monomial(self, coeff: int, bdeg: int, expo: Sequence[int]) -> "MultiPoly":
-        """Multiply by a single monomial (handy for building test values)."""
-        expo = tuple(expo)
-        if len(expo) != self.nvars:
-            raise ValueError("exponent vector length mismatch")
-        out = MultiPoly(self.nvars)
-        for (d, p), c in self.terms.items():
-            out.add_term(c * coeff, d + bdeg, tuple(a + b for a, b in zip(p, expo)))
-        return out
-
     def specialize_ones(self) -> int:
         """The value at B = X_1 = ... = X_k = 1, i.e. the coefficient sum."""
         return sum(self.terms.values())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -98,13 +77,6 @@ class MultiPoly:
 
     def to_json_terms(self) -> list[dict]:
         return [{"b": bdeg, "p": list(expo), "c": coeff} for (bdeg, expo), coeff in self.items()]
-
-    @classmethod
-    def from_json_terms(cls, nvars: int, rows: list[dict]) -> "MultiPoly":
-        out = cls(nvars)
-        for row in rows:
-            out.add_term(row["c"], row["b"], tuple(row["p"]))
-        return out
 
 
 def sigma_formula(k: int) -> MultiPoly:

@@ -366,10 +366,10 @@ def test_closed_pipe_exits_141_without_traceback():
     # dyck --k 10 prints 58,786 lines, more than a pipe holds, so the write
     # fails once the reader has closed its end
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "forestlie.cli", "dyck", "--k", "10"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"(0,0,0,0,0,0,0,0,0,0)\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen([sys.executable, "-m", "forestlie.cli", "dyck", "--k", "10"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"(0,0,0,0,0,0,0,0,0,0)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""

@@ -76,23 +76,6 @@ def test_pullback_threeway_agreement():
         assert sum(coeffs.values()) == BELL[k]
 
 
-def test_predecessors():
-    assert compositions.predecessors((1, 2)) == [(2,), (1, 1)]
-    assert compositions.predecessors((4,)) == [(3,)]
-    assert compositions.predecessors((1,)) == [()]
-    with pytest.raises(ValueError):
-        compositions.predecessors(())
-
-
-def test_predecessor_successor_duality():
-    for k in range(6):
-        for lam in compositions.enumerate_compositions(k):
-            for big in compositions.enumerate_compositions(k + 1):
-                forward = big in compositions.successors(lam)
-                backward = lam in compositions.predecessors(big)
-                assert forward == backward
-
-
 def test_key_identity_examples():
     assert compositions.verify_key_identity((2, 1)) == (True, 3, Fraction(3))
     assert compositions.verify_key_identity((3,)) == (True, 3, Fraction(3))

@@ -7,6 +7,7 @@ import pytest
 
 from forestlie import dyck, forests
 from forestlie.forests import ROOT, Forest, Primed
+from forestlie.partitions import SetPartition
 
 
 def F(father, labels=None):
@@ -54,18 +55,23 @@ def test_structure_queries():
     assert f.tree_count == 4
     assert f.children(ROOT) == (3, 7)
     assert f.nchild(3) == 1
-    assert f.subtree(3) == F({2: 3})
-    assert f.drop_max_tree() == F({1: 4, 6: 8}, labels={1, 4, 5, 6, 8})
-    assert [t.roots[0] for t in f.trees()] == [4, 5, 8, ROOT]
     assert f.text() == "(4 (1)) (5) (8 (6)) (∘ (3 (2)) (7))"
-    assert f.text(ascii_root=True) == "(4 (1)) (5) (8 (6)) (o (3 (2)) (7))"
 
 
-def test_json_roundtrip():
+def test_values_pickle_and_copy():
+    # ROOT comes back as the one ROOT, so `v is ROOT` holds after a round trip
+    assert pickle.loads(pickle.dumps(ROOT)) is ROOT
+    assert copy.copy(ROOT) is copy.deepcopy(ROOT) is ROOT
     f = F({1: 4, 6: 8, 3: ROOT, 7: ROOT, 2: 3}, labels={1, 2, 3, 4, 5, 6, 7, 8, ROOT})
-    assert Forest.from_json(f.to_json()) == f
-    g = forests.decorate({Primed(1): 4}, f)
-    assert Forest.from_json(g.to_json()) == g
+    g = forests.decorate({Primed(1): 4, Primed(2): ROOT}, f)
+    part = SetPartition.parse("23|146|7|589")
+    for value in (Forest((), {}), f, g, part, SetPartition(())):
+        copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.copy(value), copy.deepcopy(value)]:
+            assert back == value and hash(back) == hash(value) and back.text() == value.text()
+    back = copy.deepcopy(g)
+    assert back.roots[-1] is ROOT and back.children(ROOT) == (Primed(2), 3, 7)
+    assert pickle.loads(pickle.dumps(part)).shrink() == part.shrink()
 
 
 def test_enumerate_forest_counts():
@@ -131,20 +137,28 @@ def test_integer_monomial_matches_forest_objects():
             assert forests._monomial(fa) == forests.monomial(f)
 
 
+def enumerate_trees(labels):
+    """The reference trees on the labels plus the empty root: each label,
+    smallest first, picks a larger node as its father."""
+    ordered = tuple(sorted(labels, key=forests.label_key)) + (ROOT,)
+    for choice in itertools.product(*[ordered[i + 1:] for i in range(len(ordered) - 1)]):
+        yield Forest(ordered, dict(zip(ordered, choice)))
+
+
 def test_enumerate_trees():
-    assert list(forests.enumerate_trees((1,))) == [F({1: ROOT})]
-    two = list(forests.enumerate_trees((1, 2)))
+    assert list(enumerate_trees((1,))) == [F({1: ROOT})]
+    two = list(enumerate_trees((1, 2)))
     assert len(two) == 2
     assert set(two) == {F({1: 2, 2: ROOT}), F({1: ROOT, 2: ROOT}, labels={1, 2, ROOT})}
-    assert sum(1 for _ in forests.enumerate_trees((1, 2, 3))) == 6
-    for t in forests.enumerate_trees((1, 2, 3, 4)):
+    assert sum(1 for _ in enumerate_trees((1, 2, 3))) == 6
+    for t in enumerate_trees((1, 2, 3, 4)):
         assert t.tree_count == 1 and t.roots == (ROOT,)
 
 
 def test_nchild_sum_identity():
     # within any tree the child counts add up to the number of non-root nodes
     for n in range(5):
-        for t in forests.enumerate_trees(range(1, n + 1)):
+        for t in enumerate_trees(range(1, n + 1)):
             assert sum(t.nchild(v) for v in t.labels) == n
 
 
@@ -174,7 +188,7 @@ def test_expand_covariant():
     assert forests.expand_covariant(()) == [Forest((ROOT,), {})]
     assert len(forests.expand_covariant({1})) == 1
     two = forests.expand_covariant({1, 2})
-    assert set(two) == set(forests.enumerate_trees((1, 2)))
+    assert set(two) == set(enumerate_trees((1, 2)))
     four = forests.expand_covariant({1, 2, 3, 4})
     assert len(four) == len(set(four)) == 24
     for bad in ([2, 2], [1, ROOT]):

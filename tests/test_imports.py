@@ -67,7 +67,7 @@ for name in forestlie.__all__:
 print(json.dumps(homes))
 """
     homes = json.loads(fresh("-c", code).stdout)
-    assert len(homes) == 41
+    assert len(homes) == 39
     assert homes["Primed"] == homes["ROOT"] == "forestlie.forests"
     assert homes["SelfCheckError"] == "forestlie.errors"
     assert homes["bell"] == homes["SetPartition"] == "forestlie.partitions"

@@ -1,13 +1,16 @@
 """Property tests on random Dyck vectors, forests and set partitions far
 larger than any enumeration cap."""
 
+import copy
+import pickle
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from forestlie import dyck, forests, partitions  # noqa: E402
-from forestlie.forests import Forest  # noqa: E402
+from forestlie.forests import ROOT, Forest  # noqa: E402
 from forestlie.partitions import SetPartition  # noqa: E402
 
 
@@ -83,9 +86,10 @@ def test_integer_monomial(fa):
 
 
 @given(father_arrays())
-def test_forest_json_roundtrip(fa):
+def test_forest_pickle_roundtrip(fa):
     f = forest_of(fa)
-    assert Forest.from_json(f.to_json()) == f
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and g.text() == f.text() and g.labels[-1] is ROOT
 
 
 @given(father_arrays(min_k=1))
