@@ -379,18 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
     p.add_argument("--max-k", type=nonnegative_int, default=99,
                    help="global size ceiling; each suite also has its own cap")
-    p.add_argument("--jobs", type=positive_int, default=os.environ.get("FORESTLIE_JOBS", "1"),
-                   help="parallel worker processes (default from FORESTLIE_JOBS, else 1)")
+    p.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes (default 1)")
     p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact values of any size print (3.10.7+, 3.11+)
+    # exact values of any size print (3.10.7+, 3.11+); the caller's limit is back on every way out
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

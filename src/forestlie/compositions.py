@@ -134,22 +134,11 @@ def verify_key_identity(parts: Sequence[int]) -> tuple[bool, int, Fraction]:
     """
     validate_composition(parts)
     lam = tuple(parts)
-    sums = []
-    partial = 0
-    for part in lam:
-        partial += part
-        sums.append(partial)
-    lhs = partial
-    rhs = Fraction(0)
-    for s, part in enumerate(lam, start=1):
-        if s == 1:
-            term = Fraction(part)
-        elif part == 1:
-            continue
-        else:
-            term = Fraction(part - 1)
-        start = max(s, 2)
-        for j in range(start, len(lam) + 1):
-            term *= Fraction(sums[j - 1], sums[j - 1] - 1)
-        rhs += term
+    lhs = partial = sum(lam)  # S_n, then S_{n-1}, ... as s falls
+    rhs, suffix = Fraction(0), Fraction(1)  # suffix = prod_{j>=s} S_j / (S_j - 1)
+    for part in reversed(lam[1:]):
+        suffix *= Fraction(partial, partial - 1)
+        rhs += (part - 1) * suffix
+        partial -= part
+    rhs += (lam[0] if lam else 0) * suffix  # the s = 1 term, its cancelled factor left out
     return rhs == lhs, lhs, rhs

@@ -72,12 +72,6 @@ def label_key(v) -> tuple[int, int]:
     raise ValueError(f"not a forest label: {v!r}")
 
 
-def label_str(v) -> str:
-    if v is ROOT:
-        return "∘"
-    return repr(v) if isinstance(v, Primed) else str(v)
-
-
 class Forest:
     """Immutable strictly decreasing forest given by labels and a father map."""
 
@@ -109,6 +103,9 @@ class Forest:
         object.__setattr__(self, "_children", children)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Forest is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Forest is immutable")
 
     def __reduce__(self):
@@ -146,7 +143,7 @@ class Forest:
 
         def node(v) -> str:
             inner = "".join(" " + node(c) for c in self._children[v])
-            return f"({label_str(v)}{inner})"
+            return f"({v!s}{inner})"  # ROOT and Primed print as their repr
 
         return " ".join(node(r) for r in self.roots)
 

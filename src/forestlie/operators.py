@@ -39,10 +39,8 @@ class OperatorSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[str, int] | None = None):
-        self.terms: dict[str, int] = {}
-        if terms:
-            for key, mult in terms.items():
-                self.add(key, mult)
+        # a mapping's keys are distinct, so only its zero terms need dropping
+        self.terms: dict[str, int] = {key: mult for key, mult in (terms or {}).items() if mult}
 
     def add(self, key: str, mult: int = 1) -> None:
         new = self.terms.get(key, 0) + mult

@@ -62,6 +62,9 @@ class SetPartition:
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SetPartition is immutable")
+
     def __reduce__(self):
         return SetPartition, (self.blocks,)  # pickle and copy rebuild through __init__
 

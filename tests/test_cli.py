@@ -185,7 +185,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "first witness" in err
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dyck"])  # missing --k
     assert exc.value.code == 2
@@ -197,6 +197,7 @@ def test_usage_errors(capsys, monkeypatch):
                        (["clambda", "--lambda", "1,x"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
                        (["verify", "--max-k", "-1"], "--max-k"),
+                       (["verify", "--jobs", "abc"], "--jobs"),
                        (["pullback", "--k", "13"], "--force"),
                        (["dyck", "--k", "20"], "--force"),
                        (["dyck", "--k", "12", "--coeffs"], "--force"),
@@ -204,16 +205,20 @@ def test_usage_errors(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert flag in err and "Traceback" not in err, argv
-    monkeypatch.setenv("FORESTLIE_JOBS", "abc")
-    code, out, err = run(capsys, "verify", "--max-k", "1")
-    assert (code, out) == (2, "")
-    assert "--jobs" in err and "Traceback" not in err
-    code, _, _ = run(capsys, "dyck", "--k", "2")
-    assert code == 0
-    monkeypatch.delenv("FORESTLIE_JOBS")
     code, out, _ = run(capsys, "verify", "--max-k", "0")
     assert code == 0
     assert "[ok  ] dyck_count[k=0,counted]" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["forestlie"], *[["forestlie", command] for command in
+                                  ["dyck", "coeff", "clambda", "pullback", "sigma", "lie", "estimate", "verify"]]],
+                         ids=" ".join)
+def test_help(capsys, argv):
+    code, out, _ = run(capsys, *argv[1:], "--help")
+    assert code == 0
+    assert out.startswith(f"usage: {' '.join(argv)} ")
+    if argv[1:] == ["verify"]:
+        assert "--jobs" in out and "FORESTLIE_JOBS" not in out
 
 
 def test_row_budget(capsys, monkeypatch):
@@ -311,17 +316,38 @@ def test_coeff_prints_exact_values_of_any_size(capsys):
         sys.set_int_max_str_digits(4300)
     try:
         p = ",".join(["1"] * 15000)
-        code, out, _ = run(capsys, "coeff", "--p", p)
-        assert code == 0 and out.splitlines()[-1] == f"C_P = {2 ** 15000}"
-        code, out, _ = run(capsys, "coeff", "--p", p, "--format", "json")
-        assert code == 0 and json.loads(out)["c"] == 2 ** 15000
+        text = run(capsys, "coeff", "--p", p)
+        js = run(capsys, "coeff", "--p", p, "--format", "json")
+        if limit is not None:
+            sys.set_int_max_str_digits(0)  # main has put 4300 back; this test's own checks convert the value
+        assert text[0] == 0 and text[1].splitlines()[-1] == f"C_P = {2 ** 15000}"
+        assert js[0] == 0 and json.loads(js[1])["c"] == 2 ** 15000
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7")
+def test_main_restores_the_int_digit_limit(capsys, monkeypatch):
+    # main lifts the limit so that exact values print, and puts it back on every way out
+    def wrong(max_k):
+        return [{"name": "wrong", "expected": "1", "actual": "2", "ok": False}]
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "coeff", "--p", "0,1")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "dyck")[0] == 2  # argparse exits: --k is missing
+        assert sys.get_int_max_str_digits() == 5000
+        monkeypatch.setattr(checks, "CHECKS", [("wrong", wrong)])
+        assert run(capsys, "verify")[0] == 1
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_pullback_mismatch_reports_witness(capsys, monkeypatch):
-    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)  # verify must run in this process
     right = compositions.coeff_clambda
     monkeypatch.setattr(compositions, "coeff_clambda", lambda lam: right(lam) + (tuple(lam) == (1, 2)))
     code, _, err = run(capsys, "pullback", "--k", "3")
@@ -346,7 +372,6 @@ def drop_first_term(terms):
     ("_lie_chain", "lie_oracle", "oracle mismatch at (∘ (1)): 0 vs 1"),
 ])
 def test_expansion_fault_fails_verify(capsys, monkeypatch, construction, row, message):
-    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)  # verify must run in this process
     right = getattr(operators, construction)
     monkeypatch.setattr(operators, construction, lambda k: drop_first_term(right(k)))
     code, out, err = run(capsys, "verify", "--max-k", "3")
@@ -357,9 +382,14 @@ def test_expansion_fault_fails_verify(capsys, monkeypatch, construction, row, me
 
 
 def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("FORESTLIE_JOBS", "2")
-    code, out, _ = run(capsys, "verify", "--max-k", "1")
-    assert code == 0
+    # --jobs defaults to 1 and reads no environment variable
+    def masked_verify():
+        code, out, _ = run(capsys, "verify", "--max-k", "1")
+        return code, re.sub(r"checks in \d+", "checks in 0", out)
+
+    plain = masked_verify()
+    monkeypatch.setenv("FORESTLIE_JOBS", "abc")
+    assert masked_verify() == plain and plain[0] == 0
 
 
 def test_closed_pipe_exits_141_without_traceback():

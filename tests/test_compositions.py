@@ -90,6 +90,32 @@ def test_key_identity_all_small():
             assert ok and lhs == k and rhs == k
 
 
+def nested_key_identity(lam):
+    """The key identity with prod_{j>=s} S_j / (S_j - 1) rebuilt for every s,
+    the evaluation verify_key_identity replaced, kept as its reference."""
+    sums = [sum(lam[:j]) for j in range(1, len(lam) + 1)]
+    lhs = sum(lam)
+    rhs = Fraction(0)
+    for s, part in enumerate(lam, start=1):
+        if s == 1:
+            term = Fraction(part)
+        elif part == 1:
+            continue
+        else:
+            term = Fraction(part - 1)
+        for j in range(max(s, 2), len(lam) + 1):
+            term *= Fraction(sums[j - 1], sums[j - 1] - 1)
+        rhs += term
+    return rhs == lhs, lhs, rhs
+
+
+def test_key_identity_matches_nested_reference():
+    # every composition the key_identity check covers, k <= 10
+    for k in range(11):
+        for lam in compositions.enumerate_compositions(k):
+            assert compositions.verify_key_identity(lam) == nested_key_identity(lam), lam
+
+
 def test_enumerate_paths_counts():
     # paths to lambda are counted by the pull-back coefficient
     for k in range(6):

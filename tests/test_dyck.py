@@ -151,6 +151,20 @@ def test_sigma_formula_matches_coeff_cp_rebuild():
         assert polynomial.sigma_formula(k) == rebuilt, k
 
 
+def test_coeff_cp_cross_check_is_caught(monkeypatch, capsys):
+    # wrong deficits (0, 1, 2) for (0, 1), whose own are (0, 1, 1): the
+    # binomial product then reads 1 * 3 and the rational product (2 + 2/1) * 1
+    right = dyck.deficit_profile
+    monkeypatch.setattr(dyck, "deficit_profile", lambda p: (0, 1, 2) if tuple(p) == (0, 1) else right(p))
+    message = "coefficient formulas disagree for (0, 1): 3 vs 4"
+    with pytest.raises(SelfCheckError) as exc:
+        dyck.coeff_cp((0, 1))
+    assert str(exc.value) == message
+    assert cli.main(["coeff", "--p", "0,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_walk_edge_cases():
     assert list(dyck.walk(0)) == [((), 0, 1)]
     for gen in (dyck.enumerate_dyck(-1), dyck.walk(-1)):
@@ -171,7 +185,6 @@ def test_rational_product_mismatch_is_caught(monkeypatch, capsys):
         operators.estimate_certificate(5, 0)
     assert dyck.coeff_cp((0, 0, 0, 1, 2)) == 45  # the reference is independent of the walk
 
-    monkeypatch.delenv("FORESTLIE_JOBS", raising=False)
     assert cli.main(["verify", "--max-k", "5"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] dyck_two_formulas: expected consistency, got coefficient formulas disagree for (0, 0, 0, 2)" in out

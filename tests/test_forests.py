@@ -32,11 +32,22 @@ def test_primed_is_an_immutable_value():
         a.other = 3
     with pytest.raises(AttributeError):
         del a.n
-    assert a.n == 2 and repr(a) == "2'" and forests.label_str(a) == "2'"
+    assert a.n == 2 and repr(a) == "2'" and str(a) == "2'"
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(a, protocol)) == a
     assert copy.copy(a) == copy.deepcopy(a) == a
     assert copy.deepcopy({a: [a]}) == {a: [a]}
+
+
+def test_forests_and_partitions_are_immutable():
+    f = F({1: 2, 2: ROOT}, labels={1, 2, ROOT})
+    part = SetPartition.parse("13|2")
+    for value, field in [(f, "labels"), (f, "father"), (part, "blocks")]:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, field)
+    assert f.text() == "(∘ (2 (1)))" and part.blocks == ((2,), (1, 3))
 
 
 def test_forest_validation():

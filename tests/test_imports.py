@@ -21,7 +21,6 @@ REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 def fresh(*argv: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with these arguments; it must exit 0."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
-    env.pop("FORESTLIE_JOBS", None)
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -259,6 +259,8 @@ def test_dropped_oracle_graft_is_named(monkeypatch):
 def test_operator_sum_witness():
     a = OperatorSum({"x": 1, "y": -1})
     assert a.to_json() == [{"key": "x", "sign": 1}, {"key": "y", "sign": -1}]
+    # a zero term is dropped, and the others keep the mapping's order
+    assert list(OperatorSum({"y": 2, "x": 0, "w": -1}).terms.items()) == [("y", 2), ("w", -1)]
 
 
 def test_mutable_sums_are_unhashable():
