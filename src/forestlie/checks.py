@@ -10,6 +10,8 @@ worker processes, and the acceptance suite runs the same entries.
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import count
 
 from . import compositions, dyck, forests, operators, partitions, polynomial
 from .errors import SelfCheckError
@@ -24,6 +26,13 @@ DYCK_TABLES = {
     },
 }
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+
+
+def _count(items) -> int:
+    """How many items an iterator yields, counted without a Python step per item."""
+    counter = count()
+    deque(zip(items, counter), maxlen=0)  # zip stops before it advances the counter past the end
+    return next(counter)
 
 
 def _rows(name_fmt, pairs):
@@ -49,7 +58,7 @@ def check_dyck_counts(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 12) + 1):
         cat = dyck.catalan(k + 1)
-        pairs.append(((k, "enumerated"), cat, sum(1 for _ in dyck.enumerate_dyck(k))))
+        pairs.append(((k, "enumerated"), cat, _count(dyck.enumerate_dyck(k))))
         pairs.append(((k, "counted"), cat, dyck.count_dyck(k)))
     return _rows("dyck_count[k={},{}]", pairs)
 
@@ -111,15 +120,16 @@ def check_partition_bijection(max_k: int) -> list[dict]:
 
 
 # The two forest checks run on the public Forest objects, not on father
-# tuples.  forest_counts counts what enumerate_forests yields, and each of
-# those forests is built by forests._forest, which rejects a father index
-# outside i < f <= n; so a wrong count or an invalid forest from the
-# enumerator fails here.  forest_identities runs the public monomial and
-# prune, which the tuple kernels (_monomial, _text) do not go through.
+# tuples.  forest_counts counts what enumerate_forests yields; it joins each
+# prefix of father choices to a table of tails, and forests._block rejects a
+# father index outside i < f <= n in every prefix and every tail, so a wrong
+# count or an invalid forest from the enumerator fails here.
+# forest_identities runs the public monomial and prune, which the tuple
+# kernels (_monomial, _text) do not go through.
 def check_forest_counts(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 7) + 1):
-        n = sum(1 for _ in forests.enumerate_forests(forests.standard_labels(k)))
+        n = _count(forests.enumerate_forests(forests.standard_labels(k)))
         pairs.append(((k,), math.factorial(k + 1), n))
     return _rows("forest_count[k={}]", pairs)
 

@@ -22,9 +22,9 @@ import time
 
 from .errors import SelfCheckError
 
-# rows or terms a command lists without --force: about 10 and 17 us a row for
-# dyck and estimate, so dyck --k 11 (208,012 rows) takes 2.2 s and 107 MB, and
-# dyck --k 12 would take 7.4 s and 350 MB (2 vCPUs, Python 3.11)
+# rows or terms a command lists without --force: about 6 and 13 us a row for
+# dyck and estimate, so dyck --k 11 (208,012 rows) takes 1.2 s and 105 MB, and
+# dyck --k 12 would take 3.6-4.1 s and 348 MB (2 vCPUs, Python 3.11)
 ROW_BUDGET = 250_000
 # objects a command enumerates only to check itself: admits sigma --check
 # k <= 9 (10! forests) and pullback k <= 12 (Bell(12) = 4,213,597 partitions)

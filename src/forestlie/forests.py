@@ -12,10 +12,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
 from .errors import compare
+
+DEPTH = 3  # labels in each tail block of enumerate_forests
 
 
 class _EmptyRoot:
@@ -229,17 +232,54 @@ def _monomial(fa: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
     return tuple(counts[1:k + 1]), counts[0] + 1, counts[k + 1]
 
 
+def _block(labels: tuple, start: int, fa: Sequence[int]) -> tuple[dict, list]:
+    """The father map of the labels start+1, start+2, ... (1-based) whose
+    father indices are fa, and the children they give each label, as a list
+    of tuples indexed 1..n (entry 0 unused).
+
+    Each father index f of the i-th label is checked to satisfy i < f <= n.
+    """
+    n = len(labels)
+    father = {}
+    kids = [()] * (n + 1)
+    for i, f in enumerate(fa, start + 1):
+        if f:
+            if not i < f <= n:
+                raise ValueError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
+            v = labels[i - 1]
+            father[v] = labels[f - 1]
+            kids[f] += (v,)
+    return father, kids
+
+
 def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     """Yield every strictly decreasing forest on the label set, |S|! in all.
 
     Each node independently picks a strictly larger father or stays a root;
-    choices run root-first, fathers in increasing order.
+    choices run root-first, fathers in increasing order, as in _father_arrays.
+    The fathers of the last DEPTH non-maximal labels form the tail: every
+    choice of them is built once per call (_block), and each choice of the
+    fathers before them is joined to every tail by merging father maps and
+    child tuples.  Each forest has the fields that _forest gives it.
     """
     ordered = tuple(sorted(labels, key=label_key))
     if len(set(ordered)) != len(ordered):
         raise ValueError("duplicate labels")
-    for fa in _father_arrays(len(ordered) - 1):
-        yield _forest(ordered, fa)
+    n = len(ordered)
+    split = max(n - 1 - DEPTH, 0)  # the prefix sets the fathers of labels 1..split
+    choices = [(0, *range(i + 1, n + 1)) for i in range(1, n)]
+    tails = []
+    for fa in itertools.product(*choices[split:]):
+        father, kids = _block(ordered, split, fa)
+        tails.append((father, kids[split + 1:]))
+    head_labels, tail_labels = ordered[:split], ordered[split:]
+    for fa in itertools.product(*choices[:split]):
+        father, kids = _block(ordered, 0, fa)
+        head, late = dict(zip(head_labels, kids[1:split + 1])), kids[split + 1:]
+        for tail_father, tail_kids in tails:
+            forest = Forest.__new__(Forest)
+            forest._set(ordered, father | tail_father, head | dict(zip(tail_labels, map(add, late, tail_kids))))
+            yield forest
 
 
 def graft(tree: Forest, j) -> list[Forest]:

@@ -188,3 +188,25 @@ def test_rational_product_mismatch_is_caught(monkeypatch, capsys):
     assert cli.main(["verify", "--max-k", "5"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] dyck_two_formulas: expected consistency, got coefficient formulas disagree for (0, 0, 0, 2)" in out
+
+
+def test_rational_mismatch_is_caught_after_warm_calls(monkeypatch):
+    # the tail tables live for one call only, so calls made before the patch
+    # leave no table that still holds the right factor
+    right_rows = {k: list(dyck.walk(k)) for k in (5, 8)}
+    list(dyck.walk(6))
+    list(dyck.enumerate_dyck(8))
+    right = dyck._rational_factor
+    monkeypatch.setattr(dyck, "_rational_factor",
+                        lambda d_prev, entry: (19, 2) if (d_prev, entry) == (3, 2) else right(d_prev, entry))
+    # (k, the message naming the first vector with the bad factor, the rows
+    # yielded before it); at k = 8 that factor sits in a tail, past the prefix
+    cases = [(5, "for (0, 0, 0, 1, 2): 45 vs 95/2", 8),
+             (8, "for (0, 0, 0, 0, 0, 0, 4, 2): 495 vs 1045/2", 32)]
+    for k, message, before in cases:
+        got = []
+        with pytest.raises(SelfCheckError) as exc:
+            for row in dyck.walk(k):
+                got.append(row)
+        assert str(exc.value) == "coefficient formulas disagree " + message
+        assert got == right_rows[k][:before]

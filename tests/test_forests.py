@@ -109,6 +109,27 @@ def test_enumerate_forests_matches_label_choice():
         assert list(forests.enumerate_forests(labels)) == list(forests_by_label_choice(labels))
 
 
+def test_enumerate_forests_fields_match_forest_builder():
+    # Forest.__eq__ ignores _children and dict order; every field must agree
+    # with _forest, in the same insertion order
+    label_sets = [(), (1,), (3, 1, 2), (Primed(3), 2, Primed(1)), (Primed(2), 4, ROOT),
+                  (Primed(2), 3, Primed(1), 1, 2, ROOT)]
+    for labels in label_sets + [forests.standard_labels(k) for k in range(8)]:
+        ordered = tuple(sorted(labels, key=forests.label_key))
+        expected = (forests._forest(ordered, fa) for fa in forests._father_arrays(len(ordered) - 1))
+        for got, ref in itertools.zip_longest(forests.enumerate_forests(labels), expected):
+            assert got.labels == ref.labels
+            assert list(got.father.items()) == list(ref.father.items())
+            assert list(got._children.items()) == list(ref._children.items())
+
+
+def test_forest_block_rejects_bad_indices():
+    labels = forests.standard_labels(3)  # n = 4
+    for start, fa in [(0, (1,)), (0, (2, 2)), (0, (5,)), (2, (3,)), (2, (5,)), (1, (4, 0, -1))]:
+        with pytest.raises(ValueError, match="father index"):
+            forests._block(labels, start, fa)
+
+
 def test_enumerate_forests_edges():
     assert list(forests.enumerate_forests(())) == [Forest((), {})]
     with pytest.raises(ValueError, match="duplicate"):
