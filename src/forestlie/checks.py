@@ -124,8 +124,9 @@ def check_partition_bijection(max_k: int) -> list[dict]:
 # prefix of father choices to a table of tails, and forests._block rejects a
 # father index outside i < f <= n in every prefix and every tail, so a wrong
 # count or an invalid forest from the enumerator fails here.
-# forest_identities runs the public monomial and prune, which the tuple
-# kernels (_monomial, _text) do not go through.
+# forest_identities runs the public monomial and prune, which neither the
+# packed forest codes of polynomial.sigma_bruteforce nor forests._text go
+# through.
 def check_forest_counts(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 7) + 1):

@@ -74,15 +74,16 @@ def positive_int(s: str) -> int:
     return n
 
 
-def over_budget(args, count, what: str, budget: int, n: int | None = None, size: str = "k") -> bool:
+def over_budget(args, count, what: str, budget: int, n: int | None = None, at: str | None = None) -> bool:
     """True, after saying so on stderr, if count(n) exceeds budget and --force
-    is not given; n is args.k unless given, and size names it in the message.
+    is not given; n is args.k unless given, and at names the request in the
+    message, "k=<n>" unless given.
     count must increase with its argument: it is evaluated at 0, 1, ..., n up
     to the first value over budget, so no huge integer is built."""
     n = args.k if n is None else n
     if args.force or all(count(j) <= budget for j in range(n + 1)):
         return False
-    print(f"{args.command} {what}: more than {budget} at {size}={n}; refusing without --force",
+    print(f"{args.command} {what}: more than {budget} at {at or f'k={n}'}; refusing without --force",
           file=sys.stderr)
     return True
 
@@ -183,7 +184,7 @@ def cmd_clambda(args) -> int:
     compositions.validate_composition(args.parts)
     digits = clambda_digits(args.parts)
     if over_budget(args, digits.__getitem__, "prints about 1+log10(C_lambda) digits", DIGIT_BUDGET,
-                   n=len(args.parts), size="len(lambda)"):
+                   n=len(args.parts), at=f"len(lambda)={len(args.parts)}"):
         return 2
     value = compositions.coeff_clambda(args.parts)
     data = {"lambda": args.parts, "c": value}
@@ -269,7 +270,7 @@ def cmd_estimate(args) -> int:
 
     k, h = args.k, args.h
     if over_budget(args, lambda j: dyck.catalan(j + 1) * math.comb(h + j, j),
-                   "lists Catalan(k+1)*C(h+k,k) rows", ROW_BUDGET):
+                   "lists Catalan(k+1)*C(h+k,k) rows", ROW_BUDGET, at=f"k={k}, h={h}"):
         return 2
     rows = operators.estimate_certificate(k, h)
 

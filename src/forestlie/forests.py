@@ -180,22 +180,13 @@ def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     """The forest on the sorted, distinct labels whose father indices
     (1-based into labels, 0 for a root) are fa; the maximal label has no entry.
 
-    Built without the label comparisons of Forest(): the father of the i-th
-    label must be a later one, i < f <= n, which is checked on the indices.
-    Children come out sorted because they are appended by increasing index.
+    Built without the label comparisons of Forest(): _block checks that the
+    father of the i-th label is a later one, i < f <= n, on the indices.
     """
     n = len(labels)
     if len(fa) != max(n - 1, 0):
         raise ValueError(f"{len(fa)} father indices for {n} labels")
-    father = {}
-    kids = [()] * (n + 1)
-    for i, f in enumerate(fa, 1):
-        if f:
-            if not i < f <= n:
-                raise ValueError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
-            v = labels[i - 1]
-            father[v] = labels[f - 1]
-            kids[f] += (v,)
+    father, kids = _block(labels, 0, fa)
     forest = Forest.__new__(Forest)
     forest._set(labels, father, dict(zip(labels, kids[1:])))
     return forest
@@ -221,23 +212,13 @@ def _text(fa: Sequence[int]) -> str:
     return " ".join(roots)
 
 
-def _monomial(fa: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
-    """monomial() of the forest on [k] plus the empty root with father indices fa."""
-    k = len(fa)
-    counts = [0] * (k + 2)
-    for i, f in enumerate(fa, 1):
-        counts[f] += 1
-        if not f:
-            counts[i] += 1
-    return tuple(counts[1:k + 1]), counts[0] + 1, counts[k + 1]
-
-
 def _block(labels: tuple, start: int, fa: Sequence[int]) -> tuple[dict, list]:
     """The father map of the labels start+1, start+2, ... (1-based) whose
     father indices are fa, and the children they give each label, as a list
     of tuples indexed 1..n (entry 0 unused).
 
     Each father index f of the i-th label is checked to satisfy i < f <= n.
+    Children come out sorted because they are appended by increasing index.
     """
     n = len(labels)
     father = {}

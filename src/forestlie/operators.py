@@ -2,13 +2,13 @@
 by set partitions and by decreasing forests, together with an independent
 left-multiplication oracle and the Leibniz-splitting combinatorics.
 
-Each builder carries its terms as integer tuples mapped to signed
-multiplicities: a partition of [k+1] as its restricted growth string, a
-forest as its tuple of father indices.  Its two constructions are compared
-key by key on those tuples, and the returned OperatorSum renders each term
-once to its canonical string (the compact partition form, or the nested
-forest form), so multiset equality of two expansions reduces to dict
-equality.
+Each builder carries its terms as keys mapped to signed multiplicities: a
+partition of [k+1] as its compact text, built while the partitions are
+enumerated, and a forest as its tuple of father indices.  Its two
+constructions are compared key by key, and the returned OperatorSum holds
+each term as its canonical string (the compact partition form, or the
+nested forest form, rendered once per returned forest), so multiset
+equality of two expansions reduces to dict equality.
 
 In a partition of [k+1] the block holding k+1 stands for the trailing
 bare-derivative factor and every other block for one bracket factor, ordered
@@ -32,8 +32,9 @@ from .partitions import enumerate_partitions  # noqa: F401
 class OperatorSum:
     """A formal signed sum of operator words keyed by canonical term strings.
 
-    The builders carry their terms keyed by integer tuples and render each
-    returned term to its string once, when they build the sum.
+    The forest builders carry their terms keyed by father tuples and render
+    each returned term to its string once, when they build the sum; the
+    partition builders key their terms by text from the start.
     """
 
     __slots__ = ("terms",)
@@ -69,33 +70,63 @@ def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> Opera
     return OperatorSum({text(key): mult for key, mult in terms.items()})
 
 
-def _partitions_closed(k: int) -> dict[tuple[int, ...], int]:
-    """Every partition of [k+1], keyed by its restricted growth string and
-    signed by its block count."""
-    return {a: 1 if m % 2 else -1 for a, m in partitions._growth_strings(k + 1)}
+def _partitions_closed(k: int) -> dict[str, int]:
+    """Every partition of [k+1], keyed by its text and signed by its block
+    count, in the order of partitions._growth_strings.
+
+    Each element joins a block already open or opens the next one; a
+    partition of [k] holds its blocks as (maximum, text) in the order they
+    opened.  Element k+1 is the largest, so the block it joins moves to the
+    end of normal order, behind the other blocks sorted by maximum.
+    """
+    sep = "," if k + 1 > 9 else ""
+    level: list[tuple[tuple[int, str], ...]] = [()]
+    for e, es in enumerate(map(str, range(1, k + 1)), 1):
+        nxt = []
+        for blocks in level:
+            nxt += [blocks[:b] + ((e, text + sep + es),) + blocks[b + 1:] for b, (_, text) in enumerate(blocks)]
+            nxt.append(blocks + ((e, es),))
+        level = nxt
+    last = str(k + 1)
+    out: dict[str, int] = {}
+    for blocks in level:
+        normal = sorted(blocks)
+        texts = [text for _, text in normal]
+        place = {top: j for j, (top, _) in enumerate(normal)}
+        sign = 1 if len(blocks) % 2 else -1
+        for top, text in blocks:
+            j = place[top]
+            out["|".join(texts[:j] + texts[j + 1:] + [text + sep + last])] = sign
+        out["|".join(texts + [last])] = -sign
+    return out
 
 
-def _partitions_recurrence(k: int) -> dict[tuple[int, ...], int]:
+def _partitions_recurrence(k: int) -> dict[str, int]:
     """Left-extension recurrence: starting from {{k+1}}, each new smaller
     element either joins an existing block (same sign) or opens a leading
     singleton block (sign flip).
 
-    A term holds the block of each element j..k+1, blocks numbered in the
-    order they open; renumbering by first appearance from element 1 gives
-    its restricted growth string.
+    A term holds the texts of its blocks in normal order: a new element is
+    the smallest so far, so it goes in front of the block it joins, and a
+    singleton of it is the first block.  The terms that element 1 completes
+    are joined into their keys as they are made.
     """
-    state: list[tuple[tuple[int, ...], int, int]] = [((0,), 1, 1)]  # (blocks, block count, sign)
-    for _ in range(k):
+    sep = "," if k + 1 > 9 else ""
+    state: list[tuple[tuple[str, ...], int]] = [((str(k + 1),), 1)]  # (block texts, sign)
+    for es in map(str, range(k, 1, -1)):
         nxt = []
-        for a, m, sign in state:
-            nxt += [((b, *a), m, sign) for b in range(m)]
-            nxt.append(((m, *a), m + 1, -sign))
+        for texts, sign in state:
+            nxt += [(texts[:i] + (es + sep + text,) + texts[i + 1:], sign) for i, text in enumerate(texts)]
+            nxt.append(((es, *texts), -sign))
         state = nxt
-    out: dict[tuple[int, ...], int] = {}
-    for a, _, sign in state:
-        first: dict[int, int] = {}
-        key = tuple([first.setdefault(b, len(first)) for b in a])
-        out[key] = out.get(key, 0) + sign
+    first = "1" + sep
+    out: dict[str, int] = {}
+    for texts, sign in state:
+        for i, text in enumerate(texts):
+            key = "|".join(texts[:i] + (first + text,) + texts[i + 1:])
+            out[key] = out.get(key, 0) + sign
+        key = "|".join(("1", *texts))
+        out[key] = out.get(key, 0) - sign
     return out
 
 
@@ -104,12 +135,13 @@ def expand_lie_partitions(k: int) -> OperatorSum:
 
     Computed both as the closed form (every partition of [k+1] with sign by
     block count) and by the left-extension recurrence; the two must agree.
+    Both key their terms by text, built while the partitions are enumerated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     closed = _partitions_closed(k)
-    compare("partition expansion", closed, _partitions_recurrence(k), partitions._growth_text)
-    return _rendered(closed, partitions._growth_text)
+    compare("partition expansion", closed, _partitions_recurrence(k), str)
+    return OperatorSum(closed)
 
 
 def _forests_closed(k: int) -> dict[tuple[int, ...], int]:

@@ -8,11 +8,14 @@ separated by '|' ("1|35|6|247"); for k > 9 elements are comma-separated.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .compositions import validate_composition
+
+DEPTH = 4  # levels that shape_census grows below each top shape into one list
 
 
 @lru_cache(maxsize=None)
@@ -148,55 +151,49 @@ def _growth_strings(k: int) -> list[tuple[tuple[int, ...], int]]:
     return level
 
 
-@lru_cache(maxsize=None)
-def _element_texts(k: int) -> tuple[str, ...]:
-    return tuple(map(str, range(1, k + 1)))
+def shape_census(k: int) -> dict[tuple[int, ...], int]:
+    """How many partitions of [k] have each shape, in one enumeration pass.
 
-
-def _growth_text(a: Sequence[int]) -> str:
-    """SetPartition.text() of the partition with restricted growth string a."""
-    sep = "," if len(a) > 9 else ""
-    blocks: dict[int, str] = {}  # reinserted at each element, so ordered by maxima
-    for e, b in zip(_element_texts(len(a)), a):
-        text = blocks.pop(b, None)
-        blocks[b] = e if text is None else text + sep + e
-    return "|".join(blocks.values()) or "∅"
-
-
-def _shapes(k: int) -> Iterator[tuple[int, ...]]:
-    """The shape of every partition of [k], one per partition, by a walk
-    over block lengths kept in normal order.
-
-    Element n either opens a singleton block, which is last because n is
-    the largest element so far, or joins a block, whose maximum becomes n,
-    so that block moves to the end.
+    A shape is walked as a str whose characters are its block lengths, in
+    normal order.  Element n either opens a singleton block, which is last
+    because n is the largest element so far, or joins a block, whose maximum
+    becomes n, so that block moves to the end one longer.  The children of
+    each shape are built once per call.  The walk goes level by level down
+    to k - DEPTH; each shape there grows its last DEPTH levels into one list
+    with an entry per partition, which is counted before the next one grows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    stack = [()]  # shapes of partitions of [n] for n <= k, depth first
-    while stack:
-        shape = stack.pop()
-        if sum(shape) == k:
-            yield shape
-        else:
-            stack += [shape[:i] + shape[i + 1:] + (shape[i] + 1,) for i in range(len(shape))]
-            stack.append(shape + (1,))
+    kids: dict[str, list[str]] = {}
 
+    def grow(level: list[str]) -> list[str]:
+        out = []
+        for s in level:
+            children = kids.get(s)
+            if children is None:
+                children = kids[s] = [*(s[:i] + s[i + 1:] + chr(ord(s[i]) + 1) for i in range(len(s))),
+                                      s + "\x01"]
+            out += children
+        return out
 
-def shape_census(k: int) -> dict[tuple[int, ...], int]:
-    """How many partitions of [k] have each shape, in one enumeration pass."""
-    census: dict[tuple[int, ...], int] = {}
-    for shape in _shapes(k):
-        census[shape] = census.get(shape, 0) + 1
-    return census
+    split = max(k - DEPTH, 0)
+    top = [""]
+    for _ in range(split):
+        top = grow(top)
+    census: Counter[str] = Counter()
+    for s in top:
+        level = [s]
+        for _ in range(k - split):
+            level = grow(level)
+        census.update(level)
+    return {tuple(map(ord, s)): n for s, n in census.items()}
 
 
 def count_by_shape(lam: Sequence[int]) -> int:
     """Number of partitions of [sum(lam)] with the given shape, by direct
-    enumeration and filtering."""
+    enumeration of every partition of [sum(lam)]."""
     validate_composition(lam)
-    target = tuple(lam)
-    return sum(1 for shape in _shapes(sum(target)) if shape == target)
+    return shape_census(sum(lam)).get(tuple(lam), 0)
 
 
 def partition_to_path(part: SetPartition) -> list[tuple[int, ...]]:

@@ -4,12 +4,15 @@ independent computations of the weighted forest sum they must reconcile.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Iterator, Sequence
 
-from . import dyck, forests
+from . import dyck
 from .errors import first_difference
 
 TermKey = tuple[int, tuple[int, ...]]  # (power of B, exponent vector)
+DEPTH = 4  # labels in the tail table of sigma_bruteforce
 
 
 class MultiPoly:
@@ -88,14 +91,31 @@ def sigma_formula(k: int) -> MultiPoly:
 
 
 def sigma_bruteforce(k: int) -> MultiPoly:
-    """Sum over all (k+1)! forests of 2^(trees-1) * B^(root children) * X^(exponents)."""
+    """Sum over all (k+1)! forests of 2^(trees-1) * B^(root children) * X^(exponents).
+
+    Each forest on [k] plus the empty root is counted as one int code with
+    w bits per field: field 0 counts the trees other than the root tree,
+    field i the exponent of label i, field k+1 the empty root's children.
+    Label i adds one to the field of its father, or as a root one to field 0
+    and one to field i, so a forest's code is the sum of its labels' codes.
+    Fathers run as in forests._father_arrays; the codes of the last DEPTH
+    labels form a tail table built once per call, and each prefix code is
+    added to every tail code.  Every code is counted before any is decoded.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
+    w = (k + 1).bit_length()  # no field exceeds k
+    choices = [((1 << w * i) + 1, *(1 << w * f for f in range(i + 1, k + 2))) for i in range(1, k + 1)]
+    split = max(k - DEPTH, 0)
+    tails = list(map(sum, itertools.product(*choices[split:])))
+    counts: Counter[int] = Counter()
+    for head in map(sum, itertools.product(*choices[:split])):
+        counts.update(map(head.__add__, tails))
+    mask = (1 << w) - 1
     terms: dict[TermKey, int] = {}
-    for fa in forests._father_arrays(k):
-        expo, tree_count, root_children = forests._monomial(fa)
-        key = (root_children, expo)
-        terms[key] = terms.get(key, 0) + (1 << (tree_count - 1))
+    for code, n in counts.items():
+        key = (code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)]))
+        terms[key] = terms.get(key, 0) + (n << (code & mask))
     return MultiPoly(k, terms)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -109,6 +111,25 @@ def test_sigma_failure_reports_witness(capsys, monkeypatch):
     assert "first differing term" in err
 
 
+def test_sigma_dropped_tail_code_is_named(capsys, monkeypatch):
+    product = itertools.product
+
+    def without_first_tail(*choices):
+        # the tail table is the product of the last DEPTH labels' choices;
+        # its first code, every one of them a root, goes missing
+        items = product(*choices)
+        if len(choices) == polynomial.DEPTH:
+            next(items)
+        return items
+
+    monkeypatch.setattr(polynomial, "itertools", SimpleNamespace(product=without_first_tail))
+    code, out, err = run(capsys, "sigma", "--k", "5", "--check")
+    assert code == 1
+    assert out.splitlines()[-1] == "check vs forest sum over 720 forests: MISMATCH"
+    # with 1 below 5 it lacks a forest of four trees besides the root tree: 2^4 = 54 - 38
+    assert err == "verification failed: first differing term: ((0, (0, 1, 1, 1, 2)), 54, 38)\n"
+
+
 def test_sigma_guardrail(capsys):
     code, _, err = run(capsys, "sigma", "--k", "10", "--check")
     assert code == 2
@@ -131,6 +152,14 @@ def test_ascii_rendering(capsys):
     code, out, _ = run(capsys, "lie", "--k", "1", "--ascii")
     assert code == 0
     assert "∘" not in out and "(o (1))" in out
+
+
+def test_refusals_name_the_request(capsys):
+    for argv, at in [(["estimate", "--k", "1", "--h", "100000000"], "at k=1, h=100000000;"),
+                     (["dyck", "--k", "20"], "at k=20;"),
+                     (["clambda", "--lambda", "1000000,1000000"], "at len(lambda)=2;")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and at in err, argv
 
 
 def test_estimate(capsys):

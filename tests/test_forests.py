@@ -160,15 +160,6 @@ def test_forest_from_indices_rejects_bad_indices():
         forests._forest((), (1,))
 
 
-def test_integer_monomial_matches_forest_objects():
-    for k in range(7):
-        fas = list(forests._father_arrays(k))
-        objs = list(forests_by_label_choice(forests.standard_labels(k)))
-        assert len(fas) == len(objs) == math.factorial(k + 1)
-        for fa, f in zip(fas, objs):
-            assert forests._monomial(fa) == forests.monomial(f)
-
-
 def enumerate_trees(labels):
     """The reference trees on the labels plus the empty root: each label,
     smallest first, picks a larger node as its father."""

@@ -201,10 +201,52 @@ def forests_from_partitions_over_objects(k):
 def test_partition_kernels_match_object_references():
     for k in range(1, 9):
         closed = partitions_closed_over_objects(k)
-        assert operators._rendered(operators._partitions_closed(k), partitions._growth_text) == closed
-        assert operators._rendered(operators._partitions_recurrence(k), partitions._growth_text) \
-            == partitions_recurrence_over_objects(k)
+        assert OperatorSum(operators._partitions_closed(k)) == closed
+        assert OperatorSum(operators._partitions_recurrence(k)) == partitions_recurrence_over_objects(k)
         assert list(operators.expand_lie_partitions(k).terms.items()) == list(closed.terms.items())
+
+
+def growth_text(a):
+    """SetPartition.text() of the partition with restricted growth string a."""
+    sep = "," if len(a) > 9 else ""
+    blocks = {}  # reinserted at each element, so ordered by maxima
+    for e, b in enumerate(a, 1):
+        text = blocks.pop(b, None)
+        blocks[b] = str(e) if text is None else text + sep + str(e)
+    return "|".join(blocks.values()) or "∅"
+
+
+def partitions_closed_over_growth_strings(k):
+    """The reference closed form: each restricted growth string of [k+1],
+    rendered afterwards, in order."""
+    return [(growth_text(a), 1 if m % 2 else -1) for a, m in partitions._growth_strings(k + 1)]
+
+
+def partitions_recurrence_over_growth_strings(k):
+    """The reference recurrence: blocks numbered as they open, renumbered by
+    first appearance into a restricted growth string, rendered afterwards."""
+    state = [((0,), 1, 1)]  # (blocks, block count, sign)
+    for _ in range(k):
+        nxt = []
+        for a, m, sign in state:
+            nxt += [((b, *a), m, sign) for b in range(m)]
+            nxt.append(((m, *a), m + 1, -sign))
+        state = nxt
+    out = {}
+    for a, _, sign in state:
+        first = {}
+        key = growth_text([first.setdefault(b, len(first)) for b in a])
+        out[key] = out.get(key, 0) + sign
+    return out
+
+
+def test_partition_texts_match_growth_string_kernels():
+    # the text-keyed kernels against the growth-string kernels they replace,
+    # key by key and in the same order; k = 9 runs the comma-separated texts
+    for k in range(1, 10):
+        assert list(operators._partitions_closed(k).items()) == partitions_closed_over_growth_strings(k)
+    for k in range(1, 9):
+        assert operators._partitions_recurrence(k) == partitions_recurrence_over_growth_strings(k)
 
 
 def test_forest_kernels_match_object_references():
@@ -226,7 +268,7 @@ def test_recurrence_sign_flip_is_named(monkeypatch):
 
     def flipped(k):
         terms = right(k)
-        terms[(0, 1, 0, 1)] *= -1  # the partition 13|24
+        terms["13|24"] *= -1
         return terms
 
     monkeypatch.setattr(operators, "_partitions_recurrence", flipped)

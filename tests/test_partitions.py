@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from forestlie import compositions, partitions
@@ -157,6 +160,42 @@ def test_shape_walk_matches_partition_objects():
                 assert partitions.count_by_shape(lam) == census[lam]
 
 
+def shapes_by_tuple_walk(k):
+    """The reference: the shape of every partition of [k], one per partition,
+    by a depth-first walk over tuples of block lengths kept in normal order."""
+    stack = [()]
+    while stack:
+        shape = stack.pop()
+        if sum(shape) == k:
+            yield shape
+        else:
+            stack += [shape[:i] + shape[i + 1:] + (shape[i] + 1,) for i in range(len(shape))]
+            stack.append(shape + (1,))
+
+
+def test_shape_census_matches_tuple_walk():
+    for k in range(11):
+        assert partitions.shape_census(k) == Counter(shapes_by_tuple_walk(k)), k
+    for k in range(9):
+        shapes = list(shapes_by_tuple_walk(k))
+        for lam in compositions.enumerate_compositions(k):
+            assert partitions.count_by_shape(lam) == shapes.count(lam)
+
+
+def test_shape_census_k11_in_flat_memory():
+    tracemalloc.start()
+    try:
+        census = partitions.shape_census(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lams = list(compositions.enumerate_compositions(11))
+    assert len(lams) == len(census) == 1024
+    assert all(census[lam] == compositions.coeff_clambda(lam) for lam in lams)
+    assert sum(census.values()) == partitions.bell(11) == 678570
+    assert peak < 5_000_000, peak
+
+
 def test_count_by_shape_rejects_non_compositions():
     for lam in [(0, 1), (2, -1, 1)]:
         with pytest.raises(ValueError, match="not a composition"):
@@ -173,4 +212,4 @@ def test_growth_strings_match_partition_objects():
         assert len(strings) == len(parts) == partitions.bell(n)
         for (a, m), part in zip(strings, parts):
             assert m == len(part.blocks)
-            assert partitions._growth_text(a) == part.text()
+            assert SetPartition([[e for e, b in enumerate(a, 1) if b == j] for j in range(m)]) == part

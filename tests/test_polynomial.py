@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from forestlie import forests, polynomial
@@ -42,6 +44,43 @@ def sigma_over_forest_objects(k):
 def test_sigma_bruteforce_matches_forest_objects():
     for k in range(8):
         assert polynomial.sigma_bruteforce(k) == sigma_over_forest_objects(k)
+
+
+def monomial_of_fathers(fa):
+    """monomial() of the forest on [k] plus the empty root with father indices fa."""
+    k = len(fa)
+    counts = [0] * (k + 2)
+    for i, f in enumerate(fa, 1):
+        counts[f] += 1
+        if not f:
+            counts[i] += 1
+    return tuple(counts[1:k + 1]), counts[0] + 1, counts[k + 1]
+
+
+def sigma_per_forest(k):
+    """The reference: one monomial per tuple of father indices, added up term by term."""
+    terms = {}
+    for fa in forests._father_arrays(k):
+        expo, tree_count, root_children = monomial_of_fathers(fa)
+        key = (root_children, expo)
+        terms[key] = terms.get(key, 0) + (1 << (tree_count - 1))
+    return MultiPoly(k, terms)
+
+
+def test_integer_monomial_matches_forest_objects():
+    for k in range(7):
+        fas = list(forests._father_arrays(k))
+        objs = list(forests.enumerate_forests(forests.standard_labels(k)))
+        assert len(fas) == len(objs) == math.factorial(k + 1)
+        for fa, f in zip(fas, objs):
+            assert monomial_of_fathers(fa) == forests.monomial(f)
+
+
+def test_packed_codes_match_per_forest_loop():
+    # the field width (k+1).bit_length() grows at k = 1, 3 and 7, so this
+    # runs widths 1 to 4, each at its first k
+    for k in range(9):
+        assert polynomial.sigma_bruteforce(k).terms == sigma_per_forest(k).terms, k
 
 
 def test_sigma_equality():

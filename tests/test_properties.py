@@ -81,11 +81,6 @@ def set_partitions(max_k=14):
 
 
 @given(father_arrays())
-def test_integer_monomial(fa):
-    assert forests._monomial(fa) == forests.monomial(forest_of(fa))
-
-
-@given(father_arrays())
 def test_forest_pickle_roundtrip(fa):
     f = forest_of(fa)
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
@@ -106,11 +101,6 @@ def test_partition_path_roundtrip(part):
 @given(set_partitions())
 def test_partition_text_roundtrip(part):
     assert SetPartition.parse(part.text()) == part
-
-
-@given(growth_strings())
-def test_growth_text(a):
-    assert partitions._growth_text(a) == partition_of(a).text()
 
 
 @given(father_arrays())
