@@ -27,7 +27,8 @@ from .errors import SelfCheckError
 # dyck --k 12 would take 3.6-4.1 s and 348 MB (2 vCPUs, Python 3.11)
 ROW_BUDGET = 250_000
 # objects a command enumerates only to check itself: admits sigma --check
-# k <= 9 (10! forests) and pullback k <= 12 (Bell(12) = 4,213,597 partitions)
+# k <= 9 (10! forests, 1.1-1.7 s) and pullback k <= 12 (Bell(12) = 4,213,597
+# partitions, 0.5-0.8 s) (2 vCPUs, Python 3.11)
 ENUM_BUDGET = 5_000_000
 # digits of C_lambda that clambda prints without --force: printing an int takes
 # time quadratic in its digits, so clambda --lambda 99000,99000 (59,601 digits)
