@@ -243,9 +243,12 @@ CHECKS = [
 
 
 def run(name: str, max_k: int) -> list[dict]:
-    """The rows of the named check; a SelfCheckError raised inside it becomes
-    one failing row that carries the error message."""
+    """The rows of the named check; an exception raised inside it becomes one
+    failing row that carries its message, and its type unless a SelfCheckError."""
     try:
         return dict(CHECKS)[name](max_k)
     except SelfCheckError as exc:
-        return [{"name": name, "expected": "consistency", "actual": str(exc), "ok": False}]
+        actual = str(exc)
+    except Exception as exc:
+        actual = f"{type(exc).__name__}: {exc}"
+    return [{"name": name, "expected": "consistency", "actual": actual, "ok": False}]

@@ -16,7 +16,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
-from .errors import compare
+from .errors import SelfCheckError, compare
 
 DEPTH = 3  # labels in each tail block of enumerate_forests
 
@@ -185,7 +185,7 @@ def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     """
     n = len(labels)
     if len(fa) != max(n - 1, 0):
-        raise ValueError(f"{len(fa)} father indices for {n} labels")
+        raise SelfCheckError(f"{len(fa)} father indices for {n} labels")
     father, kids = _block(labels, 0, fa)
     forest = Forest.__new__(Forest)
     forest._set(labels, father, dict(zip(labels, kids[1:])))
@@ -217,7 +217,8 @@ def _block(labels: tuple, start: int, fa: Sequence[int]) -> tuple[dict, list]:
     father indices are fa, and the children they give each label, as a list
     of tuples indexed 1..n (entry 0 unused).
 
-    Each father index f of the i-th label is checked to satisfy i < f <= n.
+    Each father index f of the i-th label must satisfy i < f <= n; the
+    program makes every fa, so one outside is a bug (SelfCheckError).
     Children come out sorted because they are appended by increasing index.
     """
     n = len(labels)
@@ -226,7 +227,7 @@ def _block(labels: tuple, start: int, fa: Sequence[int]) -> tuple[dict, list]:
     for i, f in enumerate(fa, start + 1):
         if f:
             if not i < f <= n:
-                raise ValueError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
+                raise SelfCheckError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
             v = labels[i - 1]
             father[v] = labels[f - 1]
             kids[f] += (v,)

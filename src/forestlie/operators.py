@@ -23,10 +23,9 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from . import dyck, forests, partitions
+from . import dyck, forests
 from .errors import compare
-# operators.enumerate_partitions stays importable: bench/tracing.py wraps it
-from .partitions import enumerate_partitions  # noqa: F401
+from .partitions import enumerate_partitions
 
 
 class OperatorSum:
@@ -42,13 +41,6 @@ class OperatorSum:
     def __init__(self, terms: Mapping[str, int] | None = None):
         # a mapping's keys are distinct, so only its zero terms need dropping
         self.terms: dict[str, int] = {key: mult for key, mult in (terms or {}).items() if mult}
-
-    def add(self, key: str, mult: int = 1) -> None:
-        new = self.terms.get(key, 0) + mult
-        if new:
-            self.terms[key] = new
-        elif key in self.terms:
-            del self.terms[key]
 
     def items(self) -> list[tuple[str, int]]:
         return sorted(self.terms.items())
@@ -72,7 +64,7 @@ def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> Opera
 
 def _partitions_closed(k: int) -> dict[str, int]:
     """Every partition of [k+1], keyed by its text and signed by its block
-    count, in the order of partitions._growth_strings.
+    count, in the order of enumerate_partitions(k + 1).
 
     Each element joins a block already open or opens the next one; a
     partition of [k] holds its blocks as (maximum, text) in the order they
@@ -151,19 +143,16 @@ def _forests_closed(k: int) -> dict[tuple[int, ...], int]:
 
 
 def _forests_from_partitions(k: int) -> dict[tuple[int, ...], int]:
-    """Refine each partition term into forests: every non-trailing block
-    becomes one decreasing tree on its elements, the trailing block (k+1,
-    its maximum, standing for the empty root) the tree hanging from the
-    empty root.  Inside a block each element but the maximum picks a larger
-    element of the block as its father."""
+    """Refine each partition of [k+1] from enumerate_partitions into forests:
+    every non-trailing block becomes one decreasing tree on its elements, the
+    trailing block (k+1, its maximum, standing for the empty root) the tree
+    hanging from the empty root.  Inside a block each element but the maximum
+    picks a larger element of the block as its father."""
     out: dict[tuple[int, ...], int] = {}
-    for a, m in partitions._growth_strings(k + 1):
-        sign = 1 if m % 2 else -1
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        for e, b in enumerate(a, 1):
-            blocks[b].append(e)
+    for part in enumerate_partitions(k + 1):
+        sign = 1 if len(part.blocks) % 2 else -1
         choices: list = [None] * (k + 1)
-        for block in blocks:
+        for block in part.blocks:
             for i, e in enumerate(block):
                 choices[e - 1] = block[i + 1:] or (0,)
         for fa in itertools.product(*choices[:k]):

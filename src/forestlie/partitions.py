@@ -137,20 +137,6 @@ def enumerate_partitions(k: int) -> Iterator[SetPartition]:
         yield SetPartition._normal(tuple(sorted(map(tuple, blocks), key=itemgetter(-1))))
 
 
-def _growth_strings(k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every partition of [k] as (restricted growth string, block count), in
-    the order of enumerate_partitions.
-
-    Entry e-1 of the string is the block of e, blocks numbered 0, 1, ... by
-    their smallest element; each element joins a block already open or opens
-    the next one.
-    """
-    level = [((), 0)]
-    for _ in range(k):
-        level = [(a + (b,), m + (b == m)) for a, m in level for b in range(m + 1)]
-    return level
-
-
 def shape_census(k: int) -> dict[tuple[int, ...], int]:
     """How many partitions of [k] have each shape, in one enumeration pass.
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from forestlie import checks, cli, compositions, dyck, operators, partitions, polynomial
+from forestlie import checks, cli, compositions, dyck, forests, operators, partitions, polynomial
 from forestlie.errors import SelfCheckError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -212,6 +212,35 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--all", "--max-k", "1")
     assert code == 1
     assert "first witness" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_a_broken_block_as_a_failing_row(capsys, monkeypatch, jobs):
+    # an invalid father index from inside the program is a bug, not bad input:
+    # the three checks that build forests on 4 labels fail, every other row stays
+    _, good, _ = run(capsys, "verify", "--max-k", "3")
+    right = forests._block
+    monkeypatch.setattr(forests, "_block",
+                        lambda labels, start, fa: right(labels, start, (1,) if len(labels) == 4 else fa))
+    code, out, err = run(capsys, "verify", "--max-k", "3", "--jobs", jobs)
+    assert code == 1
+    message = "expected consistency, got father index 1 of label 1 is not in 2..4"
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] {name}: {message}" for name in ("forest_counts", "forest_identities", "covariant_chain")]
+    broken = ("[ok  ] forest_count[", "[ok  ] forest_identity[", "[ok  ] covariant_chain[")
+    assert [line for line in out.splitlines() if line.startswith("[ok  ]")] == [
+        line for line in good.splitlines() if line.startswith("[ok  ]") and not line.startswith(broken)]
+    assert out.splitlines()[-1].startswith("fail: ")
+    assert "Traceback" not in err and "error:" not in err
+
+
+def test_check_that_raises_becomes_one_failing_row(monkeypatch):
+    def broken(max_k):
+        raise KeyError("x")
+
+    monkeypatch.setattr(checks, "CHECKS", [("dyck_tables", broken)])
+    assert checks.run("dyck_tables", 3) == [
+        {"name": "dyck_tables", "expected": "consistency", "actual": "KeyError: 'x'", "ok": False}]
 
 
 def test_usage_errors(capsys):

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from forestlie import dyck, forests
+from forestlie.errors import SelfCheckError
 from forestlie.forests import ROOT, Forest, Primed
 from forestlie.partitions import SetPartition
 
@@ -126,7 +127,7 @@ def test_enumerate_forests_fields_match_forest_builder():
 def test_forest_block_rejects_bad_indices():
     labels = forests.standard_labels(3)  # n = 4
     for start, fa in [(0, (1,)), (0, (2, 2)), (0, (5,)), (2, (3,)), (2, (5,)), (1, (4, 0, -1))]:
-        with pytest.raises(ValueError, match="father index"):
+        with pytest.raises(SelfCheckError, match="father index"):
             forests._block(labels, start, fa)
 
 
@@ -154,9 +155,9 @@ def test_forest_from_indices_matches_validated_constructor():
 def test_forest_from_indices_rejects_bad_indices():
     labels = forests.standard_labels(3)
     for fa in [(2, 3), (2, 3, 4, 4), (1, 3, 4), (2, 2, 4), (2, 3, 5), (-1, 3, 4)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(SelfCheckError):
             forests._forest(labels, fa)
-    with pytest.raises(ValueError):
+    with pytest.raises(SelfCheckError):
         forests._forest((), (1,))
 
 

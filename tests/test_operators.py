@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from forestlie import dyck, forests, operators, partitions
+from forestlie import cli, dyck, forests, operators
 from forestlie.errors import SelfCheckError
 from forestlie.forests import ROOT, Primed
 from forestlie.operators import OperatorSum
@@ -145,12 +145,18 @@ def test_oracle_matches_forest_object_reference():
         assert operators.lie_chain_oracle(k) == oracle_over_forest_objects(k)
 
 
+def summed(terms):
+    """The reference sum of (key, sign) pairs: keys in first-seen order, zero
+    sums dropped by OperatorSum."""
+    out: dict = {}
+    for key, sign in terms:
+        out[key] = out.get(key, 0) + sign
+    return OperatorSum(out)
+
+
 def partitions_closed_over_objects(k):
     """The reference closed form: every SetPartition of [k+1], signed by block count."""
-    out = OperatorSum()
-    for part in enumerate_partitions(k + 1):
-        out.add(part.text(), partition_sign(part))
-    return out
+    return summed((part.text(), partition_sign(part)) for part in enumerate_partitions(k + 1))
 
 
 def partitions_recurrence_over_objects(k):
@@ -164,24 +170,18 @@ def partitions_recurrence_over_objects(k):
                 nxt.append((blocks[:i] + (block | {j},) + blocks[i + 1:], sign))
             nxt.append(((frozenset({j}),) + blocks, -sign))
         state = nxt
-    out = OperatorSum()
-    for blocks, sign in state:
-        out.add(SetPartition([sorted(b) for b in blocks]).text(), sign)
-    return out
+    return summed((SetPartition([sorted(b) for b in blocks]).text(), sign) for blocks, sign in state)
 
 
 def forests_closed_over_objects(k):
     """The reference closed form: every Forest on [k] plus the empty root."""
-    out = OperatorSum()
-    for f in forests.enumerate_forests(forests.standard_labels(k)):
-        out.add(f.text(), forest_sign(f))
-    return out
+    return summed((f.text(), forest_sign(f)) for f in forests.enumerate_forests(forests.standard_labels(k)))
 
 
 def forests_from_partitions_over_objects(k):
     """The reference refinement: each block of each SetPartition of [k+1]
     becomes every decreasing tree on it, from trees_on."""
-    out = OperatorSum()
+    terms = []
     for part in enumerate_partitions(k + 1):
         sign = partition_sign(part)
         blocks = part.blocks
@@ -194,8 +194,8 @@ def forests_from_partitions_over_objects(k):
             for tree in combo:
                 labels.extend(tree.labels)
                 father.update(tree.father)
-            out.add(forests.Forest(labels, father).text(), sign)
-    return out
+            terms.append((forests.Forest(labels, father).text(), sign))
+    return summed(terms)
 
 
 def test_partition_kernels_match_object_references():
@@ -216,10 +216,35 @@ def growth_text(a):
     return "|".join(blocks.values()) or "∅"
 
 
+def _growth_strings(k):
+    """Every partition of [k] as (restricted growth string, block count), in
+    the order of enumerate_partitions.
+
+    Entry e-1 of the string is the block of e, blocks numbered 0, 1, ... by
+    their smallest element; each element joins a block already open or opens
+    the next one.
+    """
+    level = [((), 0)]
+    for _ in range(k):
+        level = [(a + (b,), m + (b == m)) for a, m in level for b in range(m + 1)]
+    return level
+
+
+def test_growth_strings_match_partition_objects():
+    # same partitions in the same order, with their block counts and texts
+    for n in range(10):
+        strings = _growth_strings(n)
+        parts = list(enumerate_partitions(n))
+        assert len(strings) == len(parts) == bell(n)
+        for (a, m), part in zip(strings, parts):
+            assert m == len(part.blocks)
+            assert SetPartition([[e for e, b in enumerate(a, 1) if b == j] for j in range(m)]) == part
+
+
 def partitions_closed_over_growth_strings(k):
     """The reference closed form: each restricted growth string of [k+1],
     rendered afterwards, in order."""
-    return [(growth_text(a), 1 if m % 2 else -1) for a, m in partitions._growth_strings(k + 1)]
+    return [(growth_text(a), 1 if m % 2 else -1) for a, m in _growth_strings(k + 1)]
 
 
 def partitions_recurrence_over_growth_strings(k):
@@ -290,6 +315,21 @@ def test_dropped_refined_forest_is_named(monkeypatch):
     assert str(exc.value) == message
 
 
+def test_dropped_partition_fails_the_refinement(capsys, monkeypatch):
+    # the refinement reads operators.enumerate_partitions; 13|24 refines to
+    # the one forest (3, 4, 0): 1 below 3, 2 below the empty root
+    right = operators.enumerate_partitions
+    monkeypatch.setattr(operators, "enumerate_partitions",
+                        lambda n: (part for part in right(n) if part.text() != "13|24"))
+    message = "forest expansion mismatch at (3 (1)) (∘ (2)): -1 vs 0"
+    with pytest.raises(SelfCheckError) as exc:
+        operators.expand_lie_forests(3)
+    assert str(exc.value) == message
+    assert cli.main(["verify", "--max-k", "3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [f"[FAIL] lie_oracle: expected consistency, got {message}"]
+
+
 def test_dropped_oracle_graft_is_named(monkeypatch):
     monkeypatch.setattr(operators, "_lie_chain", without(operators._lie_chain, (2, 4, 4)))
     with pytest.raises(SelfCheckError) as exc:
@@ -306,7 +346,7 @@ def test_operator_sum_witness():
 
 
 def test_mutable_sums_are_unhashable():
-    # add and add_term change a sum in place, so it must not serve as a key
+    # neither sum serves as a key: MultiPoly.add_term changes a polynomial in place
     for value in (OperatorSum({"x": 1}), MultiPoly(1, {(0, (1,)): 1})):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)

@@ -202,14 +202,3 @@ def test_count_by_shape_rejects_non_compositions():
             partitions.count_by_shape(lam)
     with pytest.raises(ValueError, match="k must be >= 0"):
         partitions.shape_census(-1)
-
-
-def test_growth_strings_match_partition_objects():
-    # same partitions in the same order, with their block counts and texts
-    for n in range(10):
-        strings = partitions._growth_strings(n)
-        parts = list(partitions.enumerate_partitions(n))
-        assert len(strings) == len(parts) == partitions.bell(n)
-        for (a, m), part in zip(strings, parts):
-            assert m == len(part.blocks)
-            assert SetPartition([[e for e, b in enumerate(a, 1) if b == j] for j in range(m)]) == part
