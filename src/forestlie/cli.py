@@ -2,8 +2,8 @@
 suites, and table emission.
 
 Exit codes: 0 on success, 1 when a verification fails (the first witness is
-reported), 2 on usage errors and on sizes over a budget without ``--force``,
-141 when the reader closes stdout early.
+reported), 2 on usage errors, on sizes over a budget without ``--force`` and
+when stdout cannot be written, 141 when the reader closes stdout early.
 Data output is deterministic for fixed flags; the ``--format`` switch changes
 serialization only, never values.  Each command imports the kernel modules it
 runs, so a call loads only those.
@@ -34,6 +34,26 @@ ENUM_BUDGET = 5_000_000
 # time quadratic in its digits, so clambda --lambda 99000,99000 (59,601 digits)
 # takes 0.7-0.9 s and --lambda 200000,200000 (120,410 digits) 2.1 s (2 vCPUs, Python 3.11)
 DIGIT_BUDGET = 60_000
+
+
+class OutputError(Exception):
+    """stdout is closed, or writing to it failed other than by a closed pipe."""
+
+
+def write_stdout(s: str | None) -> None:
+    """Print s to stdout, or only flush it if s is None.  OutputError if
+    stdout is closed or the write fails; a closed pipe stays BrokenPipeError."""
+    if sys.stdout is None:
+        raise OutputError("stdout is closed")
+    try:
+        if s is None:
+            sys.stdout.flush()
+        else:
+            print(s)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise OutputError(exc) from exc
 
 
 def __getattr__(name: str):
@@ -139,7 +159,7 @@ def emit(args, payload, table, text) -> None:
         s = buf.getvalue().rstrip("\n")
     else:
         s = "\n".join(text())
-    print(s.replace("∘", "o") if args.ascii else s)
+    write_stdout(s.replace("∘", "o") if args.ascii else s)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +316,7 @@ def cmd_verify(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             results = list(pool.map(checks.run, names, ceilings))
     else:
         results = list(map(checks.run, names, ceilings))
@@ -381,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every suite (the default)")
     p.add_argument("--max-k", type=nonnegative_int, default=99,
                    help="global size ceiling; each suite also has its own cap")
-    p.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes (default 1)")
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="parallel worker processes, at most one per suite (default 1)")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -395,11 +416,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.fn(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; fd 1 goes to /dev/null so the exit flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+        write_stdout(None)
+    except (BrokenPipeError, OutputError) as exc:
+        # stdout is gone; fd 1 goes to /dev/null so the exit flush stays quiet
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout
+            return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except SelfCheckError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .errors import SelfCheckError
 
 EAST, NORTH = 0, 1
-DEPTH = 4  # entries in each tail block of enumerate_dyck and walk
+DEPTH = 4  # entries in each block of the table that enumerate_dyck and walk join
 
 
 def binom(m: int, n: int) -> int:
@@ -53,11 +53,11 @@ def is_dyck(p: Sequence[int]) -> bool:
 def enumerate_dyck(k: int) -> Iterator[tuple[int, ...]]:
     """Every Dyck vector of length k exactly once, in lexicographic order.
 
-    There are catalan(k+1) of them.  The first k - DEPTH entries are stepped
-    through one prefix at a time (_prefixes); each prefix is joined in one
-    block to every tail of the last DEPTH entries that its deficit allows,
-    from a table built once per call.  Lazy: a negative k raises ValueError
-    on the first next().
+    There are catalan(k+1) of them.  One table per call (_tails) builds the
+    prefixes of the first k - DEPTH entries four entries at a time
+    (_prefixes) and is joined to each of them in one block: every tail of
+    the last DEPTH entries that its deficit allows.  Lazy: a negative k
+    raises ValueError on the first next().
     """
     return chain.from_iterable(_dyck_blocks(k))
 
@@ -66,8 +66,9 @@ def _dyck_blocks(k: int) -> Iterator[Iterator[tuple[int, ...]]]:
     if k < 0:
         raise ValueError("k must be >= 0")
     depth = min(k, DEPTH)
-    tails = {d: [row[0] for row in rows] for d, rows in _tails(depth, k - depth).items()}
-    for p, d, _, _, _ in _prefixes(k - depth):
+    levels = _tails(depth, k - depth)
+    tails = {d: [row[0] for row in rows] for d, rows in levels[depth].items()}
+    for p, d, _, _, _ in _prefixes(k - depth, levels):
         yield map(p.__add__, tails[d])
 
 
@@ -139,61 +140,44 @@ def _factors(d_prev: int, entry: int) -> tuple[int, int, int]:
     return (2 * binom(d_prev, entry - 1) + binom(d_prev, entry), *_rational_factor(d_prev, entry))
 
 
-def _prefixes(k: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
-    """(p, D_k, binomial product, rational numerator, denominator) for every
-    Dyck vector p of length k, in lexicographic order.
-
-    Iterative (TAOCP 4A, 7.2.1.6): the successor of p raises the rightmost
-    entry p_j whose deficit D_j is positive by one and resets the entries
-    after it to zero, which share the products of p_1..p_j.
-    """
-    p = [0] * k
-    d = list(range(k + 1))  # the deficits D_0..D_k of p
-    coeff = [1] * (k + 1)  # index j: products over p_1..p_j
-    num = [1] * (k + 1)
-    den = [1] * (k + 1)
-    while True:
-        yield tuple(p), d[k], coeff[k], num[k], den[k]
-        j = k
-        while j and not d[j]:
-            j -= 1
-        if not j:
-            return
-        entry = p[j - 1] = p[j - 1] + 1
-        d[j] -= 1
-        fc, fn, fm = _factors(d[j - 1], entry)
-        c, n, m = coeff[j - 1] * fc, num[j - 1] * fn, den[j - 1] * fm
-        coeff[j], num[j], den[j] = c, n, m
-        for i in range(j, k):
-            p[i] = 0
-            d[i + 1] = d[i] + 1
-            coeff[i + 1], num[i + 1], den[i + 1] = c, n, m
-
-
-def _tails(depth: int, top: int) -> dict[int, list[tuple[tuple[int, ...], int, int, int, int]]]:
-    """For each deficit 0..top, every way to continue a Dyck vector from that
-    deficit by `depth` more entries, in lexicographic order, as (entries,
-    final deficit, binomial product, rational numerator, denominator)."""
-    level = {d: [((), d, 1, 1, 1)] for d in range(top + depth + 1)}
+def _tails(depth: int, top: int) -> list[dict[int, list[tuple[tuple[int, ...], int, int, int, int]]]]:
+    """Levels 0..depth of one call's table: level t maps each deficit
+    0..top + depth - t to every way to continue a Dyck vector from that
+    deficit by t more entries, in lexicographic order, as (entries, final
+    deficit, binomial product, rational numerator, denominator)."""
+    levels = [{d: [((), d, 1, 1, 1)] for d in range(top + depth + 1)}]
     for t in range(1, depth + 1):
-        level = {d: [((e, *tail), final, c * tc, n * tn, m * tm)
-                     for e in range(d + 2)
-                     for c, n, m in [_factors(d, e)]
-                     for tail, final, tc, tn, tm in level[d + 1 - e]]
-                 for d in range(top + depth - t + 1)}
-    return level
+        levels.append({d: [((e, *tail), final, c * tc, n * tn, m * tm)
+                           for e in range(d + 2)
+                           for c, n, m in [_factors(d, e)]
+                           for tail, final, tc, tn, tm in levels[t - 1][d + 1 - e]]
+                       for d in range(top + depth - t + 1)})
+    return levels
+
+
+def _prefixes(m: int, levels: list[dict]) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """(p, D_m, binomial product, rational numerator, denominator) for every
+    Dyck vector p of length m, in lexicographic order, lazily: a first block
+    of m % DEPTH entries from levels[m % DEPTH][0] of _tails, then m // DEPTH
+    blocks from levels[DEPTH] at the deficit the one before ends at."""
+    rows = iter(levels[m % DEPTH][0])
+    for _ in range(m // DEPTH):
+        rows = ((p + q, qd, c * qc, n * qn, r * qr)
+                for p, d, c, n, r in rows for q, qd, qc, qn, qr in levels[DEPTH][d])
+    return rows
 
 
 def walk(k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(p, D_k, C_P) for every Dyck vector p of length k, in the order of
     enumerate_dyck, streamed block by block; lazy like enumerate_dyck.
 
-    Each prefix from _prefixes is joined in one block to its tails, as in
-    enumerate_dyck.  The prefix and each tail carry the binomial product of
-    coeff_cp and the numerator and denominator of its restricted rational
-    product, and a vector's products are its prefix's times its tail's.  The
-    two products are compared exactly at every vector, and SelfCheckError
-    names the first vector where they disagree, after the vectors before it.
+    The one per-call table builds the prefixes four entries at a time and is
+    joined to each of them in one block, as in enumerate_dyck.  The prefix
+    and each tail carry the binomial product of coeff_cp and the numerator
+    and denominator of its restricted rational product, and a vector's
+    products are its prefix's times its tail's.  The two products are
+    compared exactly at every vector, and SelfCheckError names the first
+    vector where they disagree, after the vectors before it.
     """
     return chain.from_iterable(_walk_blocks(k))
 
@@ -202,12 +186,12 @@ def _walk_blocks(k: int) -> Iterator[Iterator[tuple[tuple[int, ...], int, int]]]
     if k < 0:
         raise ValueError("k must be >= 0")
     depth = min(k, DEPTH)
-    table = _tails(depth, k - depth)
+    levels = _tails(depth, k - depth)
     # per deficit: tails, final deficits, binomial products, and for the check
     # binomial * denominator and numerator
     columns = {d: tuple(zip(*[(tail, final, c, c * m, n) for tail, final, c, n, m in rows]))
-               for d, rows in table.items()}
-    for p, d, c, n, m in _prefixes(k - depth):
+               for d, rows in levels[depth].items()}
+    for p, d, c, n, m in _prefixes(k - depth, levels):
         tails, finals, coeffs, left, right = columns[d]
         rows = zip(map(p.__add__, tails), finals, map(c.__mul__, coeffs))
         bad = next(compress(count(), map(ne, map((c * m).__mul__, left), map(n.__mul__, right))), None)
@@ -215,7 +199,7 @@ def _walk_blocks(k: int) -> Iterator[Iterator[tuple[tuple[int, ...], int, int]]]
             yield rows
             continue
         yield islice(rows, bad)
-        tail, _, tc, tn, tm = table[d][bad]
+        tail, _, tc, tn, tm = levels[depth][d][bad]
         raise SelfCheckError(f"coefficient formulas disagree for {p + tail}: "
                              f"{c * tc} vs {Fraction(n * tn, m * tm)}")
 

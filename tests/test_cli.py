@@ -193,6 +193,32 @@ def test_verify_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_verify_jobs_asks_for_at_most_one_worker_per_suite(capsys, monkeypatch):
+    # the pool starts all its workers at the first submit, so --jobs 1000
+    # must not ask for 1000; the fake maps serially and starts none
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    code, out, _ = run(capsys, "verify", "--max-k", "2", "--format", "csv", "--jobs", "1000")
+    assert asked == [len(checks.CHECKS)] == [17]
+    assert (code, out) == run(capsys, "verify", "--max-k", "2", "--format", "csv", "--jobs", "1")[:2]
+
+
 def test_check_registry():
     assert cli.CHECKS is checks.CHECKS
     assert [name for name, _ in checks.CHECKS] == [
@@ -448,6 +474,33 @@ def test_jobs_env_default(capsys, monkeypatch):
     plain = masked_verify()
     monkeypatch.setenv("FORESTLIE_JOBS", "abc")
     assert masked_verify() == plain and plain[0] == 0
+
+
+def run_with_stdout(argv, stdout=None, close_stdout=False):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "forestlie.cli", *argv]
+    if close_stdout:  # the shell closes fd 1, then execs the CLI
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120, text=True)
+
+
+def assert_one_output_error(proc, reason):
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {reason}\n"  # no traceback, no "Exception ignored"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["coeff", "--p", "0,1"], ["dyck", "--k", "9"]])
+def test_full_stdout_exits_2_without_traceback(argv):
+    # coeff fails at the final flush, dyck --k 9 (16,796 lines) inside print
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(argv, stdout=full)
+    assert_one_output_error(proc, "[Errno 28] No space left on device")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = run_with_stdout(["verify", "--max-k", "1"], close_stdout=True)
+    assert_one_output_error(proc, "stdout is closed")
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -1,8 +1,9 @@
+import tracemalloc
 from itertools import zip_longest
 
 import pytest
 
-from forestlie import cli, dyck, operators, polynomial
+from forestlie import checks, cli, dyck, operators, polynomial
 from forestlie.errors import SelfCheckError
 
 # full coefficient lists for lengths 1..3
@@ -29,6 +30,38 @@ def recursive_enumerate_dyck(k):
             prefix.pop()
 
     yield from rec(1, 0)
+
+
+def successor_prefixes(k):
+    """(p, D_k, binomial product, rational numerator, denominator) for every
+    Dyck vector p of length k, in lexicographic order: the successor loop
+    that dyck._prefixes replaced, kept as its reference.
+
+    Iterative (TAOCP 4A, 7.2.1.6): the successor of p raises the rightmost
+    entry p_j whose deficit D_j is positive by one and resets the entries
+    after it to zero, which share the products of p_1..p_j.
+    """
+    p = [0] * k
+    d = list(range(k + 1))  # the deficits D_0..D_k of p
+    coeff = [1] * (k + 1)  # index j: products over p_1..p_j
+    num = [1] * (k + 1)
+    den = [1] * (k + 1)
+    while True:
+        yield tuple(p), d[k], coeff[k], num[k], den[k]
+        j = k
+        while j and not d[j]:
+            j -= 1
+        if not j:
+            return
+        entry = p[j - 1] = p[j - 1] + 1
+        d[j] -= 1
+        fc, fn, fm = dyck._factors(d[j - 1], entry)
+        c, n, m = coeff[j - 1] * fc, num[j - 1] * fn, den[j - 1] * fm
+        coeff[j], num[j], den[j] = c, n, m
+        for i in range(j, k):
+            p[i] = 0
+            d[i + 1] = d[i] + 1
+            coeff[i + 1], num[i + 1], den[i + 1] = c, n, m
 
 
 def test_enumerate_small():
@@ -134,6 +167,27 @@ def test_iterative_enumerator_matches_recursive():
     for k in range(13):
         for new, old in zip_longest(dyck.enumerate_dyck(k), recursive_enumerate_dyck(k)):
             assert new == old, k
+
+
+def test_prefixes_match_successor_loop():
+    # every prefix length m <= 10, over the table a call of length m + DEPTH builds
+    for k in range(dyck.DEPTH + 11):
+        depth = min(k, dyck.DEPTH)
+        m = k - depth
+        for new, old in zip_longest(dyck._prefixes(m, dyck._tails(depth, m)), successor_prefixes(m)):
+            assert new == old, (k, m)
+
+
+def test_enumeration_streams():
+    # a materialized list of the 208,012 vectors of length 11 would take tens of MB
+    for gen in (dyck.enumerate_dyck(11), dyck.walk(11)):
+        tracemalloc.start()
+        try:
+            assert checks._count(gen) == dyck.catalan(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
 
 
 def test_walk_matches_coeff_cp():
