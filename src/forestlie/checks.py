@@ -120,13 +120,14 @@ def check_partition_bijection(max_k: int) -> list[dict]:
 
 
 # The two forest checks run on the public Forest objects, not on father
-# tuples.  forest_counts counts what enumerate_forests yields; it joins each
-# prefix of father choices to a table of tails, and forests._block rejects a
-# father index outside i < f <= n in every prefix and every tail, so a wrong
-# count or an invalid forest from the enumerator fails here.
-# forest_identities runs the public monomial and prune, which neither the
-# packed forest codes of polynomial.sigma_bruteforce nor forests._text go
-# through.
+# tuples.  forest_counts counts what enumerate_forests yields; it joins the
+# father map of each prefix of father choices to a table of tail father maps,
+# and forests._block rejects a father index outside i < f <= n in every prefix
+# and every tail, so a wrong count or an invalid forest from the enumerator
+# fails here.  A forest is only its father map: forest_identities runs the
+# public monomial, which counts children and roots in one pass over that map,
+# and prune, which neither the packed forest codes of
+# polynomial.sigma_bruteforce nor forests._text go through.
 def check_forest_counts(max_k: int) -> list[dict]:
     pairs = []
     for k in range(min(max_k, 7) + 1):
@@ -141,9 +142,9 @@ def check_forest_identities(max_k: int) -> list[dict]:
         prune_ok = deg_ok = True
         dyck_ok = True
         for f in forests.enumerate_forests(forests.standard_labels(k)):
-            expo, _, root_children = forests.monomial(f)
+            expo, _, root_degree = forests.monomial(f)
             dyck_ok = dyck_ok and dyck.is_dyck(expo)
-            deg_ok = deg_ok and root_children == k - sum(expo)
+            deg_ok = deg_ok and root_degree == k - sum(expo)
             prune_ok = prune_ok and forests.monomial(forests.prune(f))[0] == expo[:-1]
         pairs.append(((k, "prune_monomial"), True, prune_ok))
         pairs.append(((k, "root_degree"), True, deg_ok))

@@ -344,16 +344,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse prints --help itself: it drops a failed write, and writes to
+    stderr when stdout is closed.  This parser writes the help through
+    write_stdout and flushes it, so --help into an unwritable stdout exits 2
+    like any other output."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        write_stdout(self.format_help().removesuffix("\n"))  # print adds the newline back
+        write_stdout(None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json", "csv"], default="text",
                         help="output serialization (values are format-independent)")
     common.add_argument("--ascii", action="store_true", help="render the empty root as 'o'")
 
-    parser = argparse.ArgumentParser(prog="forestlie",
-                                     description="Exact combinatorics of Dyck vectors, decreasing "
-                                                 "forests, and operator expansions, with built-in "
-                                                 "brute-force cross-verification.")
+    parser = _Parser(prog="forestlie",
+                     description="Exact combinatorics of Dyck vectors, decreasing "
+                                 "forests, and operator expansions, with built-in "
+                                 "brute-force cross-verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dyck", parents=[common], help="list Dyck vectors of length k")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
@@ -78,7 +77,7 @@ def label_key(v) -> tuple[int, int]:
 class Forest:
     """Immutable strictly decreasing forest given by labels and a father map."""
 
-    __slots__ = ("labels", "father", "_children")
+    __slots__ = ("labels", "father")
 
     def __init__(self, labels: Iterable, father: Mapping):
         labels = tuple(labels)
@@ -94,16 +93,11 @@ class Forest:
                 raise ValueError(f"father of {v!r} is {f!r}, not a label")
             if keys[f] <= keys[v]:
                 raise ValueError(f"father must be strictly larger: father({v!r}) = {f!r}")
-        children: dict = {v: [] for v in labels}
-        for v in labels:  # in label order, so each child list comes out sorted
-            if v in father:
-                children[father[v]].append(v)
-        self._set(labels, father, {v: tuple(c) for v, c in children.items()})
+        self._set(labels, father)
 
-    def _set(self, labels: tuple, father: dict, children: dict) -> None:
+    def _set(self, labels: tuple, father: dict) -> None:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "father", father)
-        object.__setattr__(self, "_children", children)
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
@@ -123,29 +117,26 @@ class Forest:
         return len(self.labels) - len(self.father)
 
     def children(self, v) -> tuple:
-        return self._children[v]
+        """The labels whose father is v, in label order, found afresh on each call."""
+        father = self.father
+        return tuple(u for u in self.labels if father.get(u) == v)
 
     def nchild(self, v) -> int:
-        return len(self._children[v])
+        return len(self.children(v))
 
     def preorder(self) -> list:
         """Roots in increasing order, each followed by its subtree depth-first."""
-        out = []
 
-        def visit(v):
-            out.append(v)
-            for c in self._children[v]:
-                visit(c)
+        def visit(v) -> list:
+            return [v, *(w for c in self.children(v) for w in visit(c))]
 
-        for r in self.roots:
-            visit(r)
-        return out
+        return [w for r in self.roots for w in visit(r)]
 
     def text(self) -> str:
         """Canonical nested form, one group per tree ordered by root label."""
 
         def node(v) -> str:
-            inner = "".join(" " + node(c) for c in self._children[v])
+            inner = "".join(" " + node(c) for c in self.children(v))
             return f"({v!s}{inner})"  # ROOT and Primed print as their repr
 
         return " ".join(node(r) for r in self.roots)
@@ -186,9 +177,8 @@ def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     n = len(labels)
     if len(fa) != max(n - 1, 0):
         raise SelfCheckError(f"{len(fa)} father indices for {n} labels")
-    father, kids = _block(labels, 0, fa)
     forest = Forest.__new__(Forest)
-    forest._set(labels, father, dict(zip(labels, kids[1:])))
+    forest._set(labels, _block(labels, 0, fa))
     return forest
 
 
@@ -212,26 +202,21 @@ def _text(fa: Sequence[int]) -> str:
     return " ".join(roots)
 
 
-def _block(labels: tuple, start: int, fa: Sequence[int]) -> tuple[dict, list]:
-    """The father map of the labels start+1, start+2, ... (1-based) whose
-    father indices are fa, and the children they give each label, as a list
-    of tuples indexed 1..n (entry 0 unused).
+def _block(labels: tuple, start: int, fa: Sequence[int]) -> dict:
+    """The father map, in label order, of the labels start+1, start+2, ...
+    (1-based) whose father indices are fa.
 
     Each father index f of the i-th label must satisfy i < f <= n; the
     program makes every fa, so one outside is a bug (SelfCheckError).
-    Children come out sorted because they are appended by increasing index.
     """
     n = len(labels)
     father = {}
-    kids = [()] * (n + 1)
     for i, f in enumerate(fa, start + 1):
         if f:
             if not i < f <= n:
                 raise SelfCheckError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
-            v = labels[i - 1]
-            father[v] = labels[f - 1]
-            kids[f] += (v,)
-    return father, kids
+            father[labels[i - 1]] = labels[f - 1]
+    return father
 
 
 def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
@@ -241,8 +226,8 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     choices run root-first, fathers in increasing order, as in _father_arrays.
     The fathers of the last DEPTH non-maximal labels form the tail: every
     choice of them is built once per call (_block), and each choice of the
-    fathers before them is joined to every tail by merging father maps and
-    child tuples.  Each forest has the fields that _forest gives it.
+    fathers before them is joined to every tail by merging father maps.
+    Each forest has the fields that _forest gives it.
     """
     ordered = tuple(sorted(labels, key=label_key))
     if len(set(ordered)) != len(ordered):
@@ -250,17 +235,12 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
     n = len(ordered)
     split = max(n - 1 - DEPTH, 0)  # the prefix sets the fathers of labels 1..split
     choices = [(0, *range(i + 1, n + 1)) for i in range(1, n)]
-    tails = []
-    for fa in itertools.product(*choices[split:]):
-        father, kids = _block(ordered, split, fa)
-        tails.append((father, kids[split + 1:]))
-    head_labels, tail_labels = ordered[:split], ordered[split:]
+    tails = [_block(ordered, split, fa) for fa in itertools.product(*choices[split:])]
     for fa in itertools.product(*choices[:split]):
-        father, kids = _block(ordered, 0, fa)
-        head, late = dict(zip(head_labels, kids[1:split + 1])), kids[split + 1:]
-        for tail_father, tail_kids in tails:
+        father = _block(ordered, 0, fa)
+        for tail in tails:
             forest = Forest.__new__(Forest)
-            forest._set(ordered, father | tail_father, head | dict(zip(tail_labels, map(add, late, tail_kids))))
+            forest._set(ordered, father | tail)
             yield forest
 
 
@@ -305,10 +285,18 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
     return [_forest(nodes, fa) for fa in got]
 
 
+def _exponents(forest: Forest) -> dict:
+    """Child count, plus one at roots, of every label in label order."""
+    expo = dict.fromkeys(forest.labels, 1)  # each label is a root until it passes its one to its father
+    for v, f in forest.father.items():
+        expo[v] -= 1
+        expo[f] += 1
+    return expo
+
+
 def exponent_map(forest: Forest) -> dict:
     """Exponent of each non-root label: child count, plus one at forest roots."""
-    children, father = forest._children, forest.father
-    return {v: len(children[v]) + (v not in father) for v in forest.labels if v is not ROOT}
+    return {v: e for v, e in _exponents(forest).items() if v is not ROOT}
 
 
 def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
@@ -320,7 +308,8 @@ def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
     k = len(forest.labels) - 1
     if forest.labels != standard_labels(k):
         raise ValueError("monomial requires labels [k] plus the empty root")
-    return tuple(exponent_map(forest).values()), forest.tree_count, forest.nchild(ROOT)
+    *expo, root = _exponents(forest).values()  # one pass; the empty root comes last and is a root
+    return tuple(expo), forest.tree_count, root - 1
 
 
 def prune(forest: Forest) -> Forest:

@@ -503,6 +503,22 @@ def test_closed_stdout_exits_2_without_traceback():
     assert_one_output_error(proc, "stdout is closed")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["dyck", "--help"]])
+def test_help_into_full_stdout_exits_2(argv):
+    # argparse drops a failed write of the help and would exit 0
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(argv, stdout=full)
+    assert_one_output_error(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dyck", "--help"]])
+def test_help_into_closed_stdout_exits_2(argv):
+    # argparse would print the help to stderr instead and exit 0
+    proc = run_with_stdout(argv, close_stdout=True)
+    assert_one_output_error(proc, "stdout is closed")
+
+
 def test_closed_pipe_exits_141_without_traceback():
     # dyck --k 10 prints 58,786 lines, more than a pipe holds, so the write
     # fails once the reader has closed its end

@@ -2,10 +2,11 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
-from forestlie import dyck, forests
+from forestlie import checks, dyck, forests
 from forestlie.errors import SelfCheckError
 from forestlie.forests import ROOT, Forest, Primed
 from forestlie.partitions import SetPartition
@@ -110,9 +111,19 @@ def test_enumerate_forests_matches_label_choice():
         assert list(forests.enumerate_forests(labels)) == list(forests_by_label_choice(labels))
 
 
+def children_by_appending(forest):
+    """The reference children: each label, in label order, appended to its
+    father's list, so every list comes out sorted."""
+    children = {v: [] for v in forest.labels}
+    for v in forest.labels:
+        if v in forest.father:
+            children[forest.father[v]].append(v)
+    return [tuple(children[v]) for v in forest.labels]
+
+
 def test_enumerate_forests_fields_match_forest_builder():
-    # Forest.__eq__ ignores _children and dict order; every field must agree
-    # with _forest, in the same insertion order
+    # Forest.__eq__ ignores dict order; every field must agree with _forest,
+    # in the same insertion order, and children must agree with the reference
     label_sets = [(), (1,), (3, 1, 2), (Primed(3), 2, Primed(1)), (Primed(2), 4, ROOT),
                   (Primed(2), 3, Primed(1), 1, 2, ROOT)]
     for labels in label_sets + [forests.standard_labels(k) for k in range(8)]:
@@ -121,7 +132,18 @@ def test_enumerate_forests_fields_match_forest_builder():
         for got, ref in itertools.zip_longest(forests.enumerate_forests(labels), expected):
             assert got.labels == ref.labels
             assert list(got.father.items()) == list(ref.father.items())
-            assert list(got._children.items()) == list(ref._children.items())
+            assert [got.children(v) for v in got.labels] == children_by_appending(got)
+
+
+def test_enumerate_forests_streams():
+    # a materialized list of the 40,320 forests on [7] plus the empty root would take tens of MB
+    tracemalloc.start()
+    try:
+        assert checks._count(forests.enumerate_forests(forests.standard_labels(7))) == math.factorial(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_forest_block_rejects_bad_indices():
@@ -144,12 +166,14 @@ def test_forest_from_indices_matches_validated_constructor():
         for fa in forests._father_arrays(k):
             fast = forests._forest(labels, fa)
             ref = Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
-            assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+            assert (fast.labels, fast.father) == (ref.labels, ref.father)
+            assert [fast.children(v) for v in fast.labels] == children_by_appending(fast)
     primed = (Primed(1), Primed(2), 1, ROOT)
     for fa in forests._father_arrays(len(primed) - 1):
         fast = forests._forest(primed, fa)
         ref = Forest(primed, {primed[i]: primed[f - 1] for i, f in enumerate(fa) if f})
-        assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+        assert (fast.labels, fast.father) == (ref.labels, ref.father)
+        assert [fast.children(v) for v in fast.labels] == children_by_appending(fast)
 
 
 def test_forest_from_indices_rejects_bad_indices():
@@ -247,9 +271,9 @@ def test_monomial_nine_node_tree():
 
 def test_monomial_forest_examples():
     f1 = F({1: 5, 6: 9, 8: 9, 3: ROOT, 7: ROOT, 2: 3}, labels=forests.standard_labels(9))
-    expo, tree_count, root_children = forests.monomial(f1)
+    expo, tree_count, root_degree = forests.monomial(f1)
     assert expo == (0, 0, 1, 1, 2, 0, 0, 0, 3)
-    assert tree_count == 4 and root_children == 2
+    assert tree_count == 4 and root_degree == 2
     f2 = F({6: 8, 7: 8, 3: ROOT, 9: ROOT, 2: 3, 1: 9, 5: 9}, labels=forests.standard_labels(9))
     assert forests.monomial(f2)[0] == (0, 0, 1, 1, 0, 0, 0, 3, 2)
     bare = Forest((ROOT,), {})
@@ -285,7 +309,8 @@ def test_prune_matches_validated_reference():
     for k in range(1, 7):
         for f in forests.enumerate_forests(forests.standard_labels(k)):
             fast, ref = forests.prune(f), prune_over_objects(f)
-            assert (fast.labels, fast.father, fast._children) == (ref.labels, ref.father, ref._children)
+            assert (fast.labels, fast.father) == (ref.labels, ref.father)
+            assert [fast.children(v) for v in fast.labels] == children_by_appending(fast)
 
 
 def test_prune_deletes_last_exponent():
@@ -295,11 +320,11 @@ def test_prune_deletes_last_exponent():
             assert forests.monomial(forests.prune(f))[0] == expo[:-1]
 
 
-def test_root_children_from_degree():
+def test_root_degree_from_exponents():
     for k in range(8):
         for f in forests.enumerate_forests(forests.standard_labels(k)):
-            expo, _, root_children = forests.monomial(f)
-            assert root_children == k - sum(expo)
+            expo, _, root_degree = forests.monomial(f)
+            assert root_degree == k - sum(expo)
 
 
 def test_fiber_worked_example():

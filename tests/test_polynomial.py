@@ -36,8 +36,8 @@ def sigma_over_forest_objects(k):
     """The reference: the forest sum over Forest objects and their monomials."""
     out = MultiPoly(k)
     for f in forests.enumerate_forests(forests.standard_labels(k)):
-        expo, tree_count, root_children = forests.monomial(f)
-        out.add_term(2 ** (tree_count - 1), root_children, expo)
+        expo, tree_count, root_degree = forests.monomial(f)
+        out.add_term(2 ** (tree_count - 1), root_degree, expo)
     return out
 
 
@@ -61,8 +61,8 @@ def sigma_per_forest(k):
     """The reference: one monomial per tuple of father indices, added up term by term."""
     terms = {}
     for fa in forests._father_arrays(k):
-        expo, tree_count, root_children = monomial_of_fathers(fa)
-        key = (root_children, expo)
+        expo, tree_count, root_degree = monomial_of_fathers(fa)
+        key = (root_degree, expo)
         terms[key] = terms.get(key, 0) + (1 << (tree_count - 1))
     return MultiPoly(k, terms)
 
