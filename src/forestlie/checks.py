@@ -159,10 +159,11 @@ def check_fiber_example(max_k: int) -> list[dict]:
     hist: dict[int, int] = {}
     for f in fib:
         hist[f.tree_count] = hist.get(f.tree_count, 0) + 1
+    cprime = forests.cprime((0, 0, 2, 1, 1))
     pairs = [
         (("histogram",), {1: 1, 2: 4, 3: 5, 4: 2}, hist),
-        (("cprime",), 45, forests.cprime((0, 0, 2, 1, 1))),
-        (("coeff",), dyck.coeff_cp((0, 0, 2, 1, 1)), forests.cprime((0, 0, 2, 1, 1))),
+        (("cprime",), 45, cprime),
+        (("coeff",), dyck.coeff_cp((0, 0, 2, 1, 1)), cprime),
     ]
     return _rows("fiber_example[{}]", pairs)
 

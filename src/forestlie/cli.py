@@ -95,6 +95,14 @@ def positive_int(s: str) -> int:
     return n
 
 
+def validate_flag(flag: str, validate, value) -> None:
+    """validate(value), naming the flag in any ValueError it raises."""
+    try:
+        validate(value)
+    except ValueError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
+
+
 def over_budget(args, count, what: str, budget: int, n: int | None = None, at: str | None = None) -> bool:
     """True, after saying so on stderr, if count(n) exceeds budget and --force
     is not given; n is args.k unless given, and at names the request in the
@@ -184,6 +192,7 @@ def cmd_coeff(args) -> int:
     from . import dyck
 
     p = args.p
+    validate_flag("--p", dyck.validate_dyck, p)
     deficits = dyck.deficit_profile(p)
     value = dyck.coeff_cp(p)
 
@@ -202,7 +211,7 @@ def cmd_coeff(args) -> int:
 def cmd_clambda(args) -> int:
     from . import compositions
 
-    compositions.validate_composition(args.parts)
+    validate_flag("--lambda", compositions.validate_composition, args.parts)
     digits = clambda_digits(args.parts)
     if over_budget(args, digits.__getitem__, "prints about 1+log10(C_lambda) digits", DIGIT_BUDGET,
                    n=len(args.parts), at=f"len(lambda)={len(args.parts)}"):

@@ -64,33 +64,17 @@ def _rendered(terms: Mapping[tuple, int], text: Callable[[tuple], str]) -> Opera
 
 def _partitions_closed(k: int) -> dict[str, int]:
     """Every partition of [k+1], keyed by its text and signed by its block
-    count, in the order of enumerate_partitions(k + 1).
-
-    Each element joins a block already open or opens the next one; a
-    partition of [k] holds its blocks as (maximum, text) in the order they
-    opened.  Element k+1 is the largest, so the block it joins moves to the
-    end of normal order, behind the other blocks sorted by maximum.
-    """
+    count, in the order of enumerate_partitions(k + 1): the block texts grow
+    by elements 1..k+1 in normal order (see the partitions module docstring)."""
     sep = "," if k + 1 > 9 else ""
-    level: list[tuple[tuple[int, str], ...]] = [()]
-    for e, es in enumerate(map(str, range(1, k + 1)), 1):
+    level: list[tuple[str, ...]] = [()]
+    for es in map(str, range(1, k + 2)):
         nxt = []
         for blocks in level:
-            nxt += [blocks[:b] + ((e, text + sep + es),) + blocks[b + 1:] for b, (_, text) in enumerate(blocks)]
-            nxt.append(blocks + ((e, es),))
+            nxt += [blocks[:b] + blocks[b + 1:] + (text + sep + es,) for b, text in enumerate(blocks)]
+            nxt.append(blocks + (es,))
         level = nxt
-    last = str(k + 1)
-    out: dict[str, int] = {}
-    for blocks in level:
-        normal = sorted(blocks)
-        texts = [text for _, text in normal]
-        place = {top: j for j, (top, _) in enumerate(normal)}
-        sign = 1 if len(blocks) % 2 else -1
-        for top, text in blocks:
-            j = place[top]
-            out["|".join(texts[:j] + texts[j + 1:] + [text + sep + last])] = sign
-        out["|".join(texts + [last])] = -sign
-    return out
+    return {"|".join(blocks): 1 if len(blocks) % 2 else -1 for blocks in level}
 
 
 def _partitions_recurrence(k: int) -> dict[str, int]:

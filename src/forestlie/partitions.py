@@ -4,13 +4,19 @@ bijection with paths in the composition graph.
 Normal ordering: elements sorted inside each block, blocks sorted by their
 largest element.  The compact text form writes blocks as digit strings
 separated by '|' ("1|35|6|247"); for k > 9 elements are comma-separated.
+
+Growth in normal order: a partition of [n] grows from one of [n-1] by adding
+n, the largest element so far.  Either n joins block b, whose maximum becomes
+n, so that block moves to the end one longer, or n opens a singleton block,
+which is last.  The joins come first, for b in order, then the singleton; the
+blocks stay in normal order without sorting.  shape_census,
+enumerate_partitions and operators._partitions_closed all grow by this rule.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .compositions import validate_composition
@@ -116,37 +122,33 @@ class SetPartition:
 
 
 def enumerate_partitions(k: int) -> Iterator[SetPartition]:
-    """Yield every set partition of [k] once, in a fixed insertion order."""
+    """Yield every set partition of [k] once, in a fixed insertion order: each
+    partition of [k-1], in this order, grown by k in normal order (see the
+    module docstring).  Blocks are tuples shared between partitions."""
     if k < 0:
         raise ValueError("k must be >= 0")
 
-    def rec(n: int) -> Iterator[list[list[int]]]:
+    def rec(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if n == 0:
-            yield []
+            yield ()
             return
-        for smaller in rec(n - 1):
-            for i in range(len(smaller)):
-                smaller[i].append(n)
-                yield smaller
-                smaller[i].pop()
-            smaller.append([n])
-            yield smaller
-            smaller.pop()
+        for blocks in rec(n - 1):
+            for b in range(len(blocks)):
+                yield blocks[:b] + blocks[b + 1:] + (blocks[b] + (n,),)
+            yield blocks + ((n,),)
 
-    for blocks in rec(k):  # elements are appended in increasing order
-        yield SetPartition._normal(tuple(sorted(map(tuple, blocks), key=itemgetter(-1))))
+    yield from map(SetPartition._normal, rec(k))
 
 
 def shape_census(k: int) -> dict[tuple[int, ...], int]:
     """How many partitions of [k] have each shape, in one enumeration pass.
 
     A shape is walked as a str whose characters are its block lengths, in
-    normal order.  Element n either opens a singleton block, which is last
-    because n is the largest element so far, or joins a block, whose maximum
-    becomes n, so that block moves to the end one longer.  The children of
-    each shape are built once per call.  The walk goes level by level down
-    to k - DEPTH; each shape there grows its last DEPTH levels into one list
-    with an entry per partition, which is counted before the next one grows.
+    normal order, and grows by the rule of the module docstring.  The
+    children of each shape are built once per call.  The walk goes level by
+    level down to k - DEPTH; each shape there grows its last DEPTH levels into
+    one list with an entry per partition, which is counted before the next
+    one grows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -279,6 +279,8 @@ def test_usage_errors(capsys):
     for argv, flag in [(["dyck", "--k", "-1", "--coeffs"], "--k"),
                        (["coeff", "--p", "0,1,x"], "--p"),
                        (["clambda", "--lambda", "1,x"], "--lambda"),
+                       (["coeff", "--p", "2,0"], "--p"),
+                       (["clambda", "--lambda", "1,0"], "--lambda"),
                        (["dyck", "--k", "2", "--jobs", "2"], "--jobs"),
                        (["verify", "--max-k", "-1"], "--max-k"),
                        (["verify", "--jobs", "abc"], "--jobs"),

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from forestlie import compositions, partitions
+from forestlie import checks, compositions, partitions
 from forestlie.partitions import SetPartition
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -43,6 +43,24 @@ def test_enumerate_counts_and_normal_order():
         assert len(parts) == len(set(parts)) == BELL[k]
         for part in parts:
             assert all(max(b1) < max(b2) for b1, b2 in zip(part.blocks, part.blocks[1:]))
+
+
+def test_enumerate_order_grows_largest_last():
+    # each partition of [3] in turn: 4 joins each block, which moves last, then opens its own
+    assert [p.text() for p in partitions.enumerate_partitions(4)] == [
+        "1234", "123|4", "3|124", "12|34", "12|3|4", "13|24", "2|134", "2|13|4",
+        "23|14", "1|234", "1|23|4", "2|3|14", "1|3|24", "1|2|34", "1|2|3|4"]
+
+
+def test_enumerate_partitions_streams():
+    # a list of the 115,975 partitions of [10] would take tens of MB
+    tracemalloc.start()
+    try:
+        assert checks._count(partitions.enumerate_partitions(10)) == partitions.bell(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_shape():
