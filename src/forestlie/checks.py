@@ -126,7 +126,7 @@ def check_partition_bijection(max_k: int) -> list[dict]:
 # and every tail, so a wrong count or an invalid forest from the enumerator
 # fails here.  A forest is only its father map: forest_identities runs the
 # public monomial, which counts children and roots in one pass over that map,
-# and prune, which neither the packed forest codes of
+# and prune, which neither the label-by-label forest sum of
 # polynomial.sigma_bruteforce nor forests._text go through.
 def check_forest_counts(max_k: int) -> list[dict]:
     pairs = []

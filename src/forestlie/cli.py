@@ -26,9 +26,9 @@ from .errors import SelfCheckError
 # dyck and estimate, so dyck --k 11 (208,012 rows) takes 1.2 s and 105 MB, and
 # dyck --k 12 would take 3.6-4.1 s and 348 MB (2 vCPUs, Python 3.11)
 ROW_BUDGET = 250_000
-# objects a command enumerates only to check itself: admits sigma --check
-# k <= 9 (10! forests, 1.1-1.7 s) and pullback k <= 12 (Bell(12) = 4,213,597
-# partitions, 0.5-0.8 s) (2 vCPUs, Python 3.11)
+# objects a command enumerates or sums over only to check itself: admits
+# sigma --check k <= 9 (the sum over 10! forests, 0.19-0.31 s) and pullback
+# k <= 12 (Bell(12) = 4,213,597 partitions, 0.5-0.8 s) (2 vCPUs, Python 3.11)
 ENUM_BUDGET = 5_000_000
 # digits of C_lambda that clambda prints without --force: printing an int takes
 # time quadratic in its digits, so clambda --lambda 99000,99000 (59,601 digits)
@@ -95,10 +95,10 @@ def positive_int(s: str) -> int:
     return n
 
 
-def validate_flag(flag: str, validate, value) -> None:
-    """validate(value), naming the flag in any ValueError it raises."""
+def validate_flag(flag: str, validate, value):
+    """Return validate(value), naming the flag in any ValueError it raises."""
     try:
-        validate(value)
+        return validate(value)
     except ValueError as exc:
         raise ValueError(f"argument {flag}: {exc}") from None
 
@@ -192,8 +192,7 @@ def cmd_coeff(args) -> int:
     from . import dyck
 
     p = args.p
-    validate_flag("--p", dyck.validate_dyck, p)
-    deficits = dyck.deficit_profile(p)
+    deficits = validate_flag("--p", dyck.deficit_profile, p)
     value = dyck.coeff_cp(p)
 
     def text():
@@ -255,7 +254,7 @@ def cmd_sigma(args) -> int:
     k = args.k
     if (over_budget(args, lambda j: dyck.catalan(j + 1), "lists Catalan(k+1) terms", ROW_BUDGET)
             or args.check and over_budget(args, lambda j: math.factorial(j + 1),
-                                          "--check enumerates (k+1)! forests", ENUM_BUDGET)):
+                                          "--check sums over (k+1)! forests", ENUM_BUDGET)):
         return 2
     poly = polynomial.sigma_formula(k)
     equal = witness = None
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", parents=[common], help="the Dyck polynomial of the forest sum")
     p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--check", action="store_true", help="verify against the full forest enumeration")
+    p.add_argument("--check", action="store_true", help="verify against the forest sum over all (k+1)! forests")
     p.add_argument("--force", action="store_true", help="allow more than the row and enumeration budgets")
     p.set_defaults(fn=cmd_sigma)
 

@@ -294,11 +294,6 @@ def _exponents(forest: Forest) -> dict:
     return expo
 
 
-def exponent_map(forest: Forest) -> dict:
-    """Exponent of each non-root label: child count, plus one at forest roots."""
-    return {v: e for v, e in _exponents(forest).items() if v is not ROOT}
-
-
 def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
     """(exponent vector over [k], number of trees, child count of the empty root).
 

@@ -4,15 +4,12 @@ independent computations of the weighted forest sum they must reconcile.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import Iterator, Sequence
 
 from . import dyck
 from .errors import first_difference
 
 TermKey = tuple[int, tuple[int, ...]]  # (power of B, exponent vector)
-DEPTH = 4  # labels in the tail table of sigma_bruteforce
 
 
 class MultiPoly:
@@ -93,30 +90,27 @@ def sigma_formula(k: int) -> MultiPoly:
 def sigma_bruteforce(k: int) -> MultiPoly:
     """Sum over all (k+1)! forests of 2^(trees-1) * B^(root children) * X^(exponents).
 
-    Each forest on [k] plus the empty root is counted as one int code with
-    w bits per field: field 0 counts the trees other than the root tree,
-    field i the exponent of label i, field k+1 the empty root's children.
-    Label i adds one to the field of its father, or as a root one to field 0
-    and one to field i, so a forest's code is the sum of its labels' codes.
-    Fathers run as in forests._father_arrays; the codes of the last DEPTH
-    labels form a tail table built once per call, and each prefix code is
-    added to every tail code.  Every code is counted before any is decoded.
+    Each label picks its father independently, so the sum is the product over
+    labels j of (2*X_j + X_{j+1} + ... + X_k + B), collected label by label
+    for j = k down to 1 without listing any forest.  A monomial is one int
+    code with w bits per field: field i is the exponent of label i, field
+    k+1 the empty root's children.  Label i adds one to the field of each
+    father it may take, or with weight 2, as a root, one to its own field.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     w = (k + 1).bit_length()  # no field exceeds k
-    choices = [((1 << w * i) + 1, *(1 << w * f for f in range(i + 1, k + 2))) for i in range(1, k + 1)]
-    split = max(k - DEPTH, 0)
-    tails = list(map(sum, itertools.product(*choices[split:])))
-    counts: Counter[int] = Counter()
-    for head in map(sum, itertools.product(*choices[:split])):
-        counts.update(map(head.__add__, tails))
+    counts = {0: 1}
+    for i in range(k, 0, -1):
+        nxt = {code + (1 << w * i): 2 * n for code, n in counts.items()}
+        for f in range(i + 1, k + 2):
+            step = 1 << w * f
+            for code, n in counts.items():
+                nxt[code + step] = nxt.get(code + step, 0) + n
+        counts = nxt
     mask = (1 << w) - 1
-    terms: dict[TermKey, int] = {}
-    for code, n in counts.items():
-        key = (code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)]))
-        terms[key] = terms.get(key, 0) + (n << (code & mask))
-    return MultiPoly(k, terms)
+    return MultiPoly(k, {(code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)])): n
+                         for code, n in counts.items()})
 
 
 def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int, int] | None]:

@@ -1,5 +1,4 @@
 import argparse
-import itertools
 import json
 import math
 import os
@@ -9,7 +8,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -57,6 +55,16 @@ def test_coeff_worked_example(capsys):
     assert code == 0
     assert "0 1 1 2 2 0 1 1" in out
     assert "C_P = 72" in out
+
+
+def test_coeff_validates_p_once_per_public_entry(capsys, monkeypatch):
+    # once as the flag, through deficit_profile, and once inside coeff_cp
+    calls = []
+    validate = dyck.validate_dyck
+    monkeypatch.setattr(dyck, "validate_dyck", lambda p: calls.append(p) or validate(p))
+    code, out, _ = run(capsys, "coeff", "--p", "0,1,0,1,3,0,1")
+    assert code == 0 and "C_P = 72" in out
+    assert len(calls) == 2
 
 
 def test_coeff_json(capsys):
@@ -112,21 +120,21 @@ def test_sigma_failure_reports_witness(capsys, monkeypatch):
 
 
 def test_sigma_dropped_tail_code_is_named(capsys, monkeypatch):
-    product = itertools.product
+    collect = polynomial.sigma_bruteforce
+    # one forest goes missing from the forest sum: 1 below 5 and 2..5 all roots
+    missing = forests.Forest(forests.standard_labels(5), {1: 5})
 
-    def without_first_tail(*choices):
-        # the tail table is the product of the last DEPTH labels' choices;
-        # its first code, every one of them a root, goes missing
-        items = product(*choices)
-        if len(choices) == polynomial.DEPTH:
-            next(items)
-        return items
+    def without_one_forest(k):
+        poly = collect(k)
+        expo, tree_count, root_degree = forests.monomial(missing)
+        poly.add_term(-(2 ** (tree_count - 1)), root_degree, expo)
+        return poly
 
-    monkeypatch.setattr(polynomial, "itertools", SimpleNamespace(product=without_first_tail))
+    monkeypatch.setattr(polynomial, "sigma_bruteforce", without_one_forest)
     code, out, err = run(capsys, "sigma", "--k", "5", "--check")
     assert code == 1
     assert out.splitlines()[-1] == "check vs forest sum over 720 forests: MISMATCH"
-    # with 1 below 5 it lacks a forest of four trees besides the root tree: 2^4 = 54 - 38
+    # it lacks a forest of four trees besides the root tree: 2^4 = 54 - 38
     assert err == "verification failed: first differing term: ((0, (0, 1, 1, 1, 2)), 54, 38)\n"
 
 

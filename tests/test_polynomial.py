@@ -1,9 +1,11 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from forestlie import forests, polynomial
-from forestlie.polynomial import MultiPoly
+from forestlie.polynomial import MultiPoly, TermKey
 
 SIGMA_1 = {(1, (0,)): 1, (0, (1,)): 2}
 SIGMA_2 = {(2, (0, 0)): 1, (1, (1, 0)): 2, (1, (0, 1)): 3, (0, (1, 1)): 4, (0, (0, 2)): 2}
@@ -83,10 +85,48 @@ def test_packed_codes_match_per_forest_loop():
         assert polynomial.sigma_bruteforce(k).terms == sigma_per_forest(k).terms, k
 
 
+DEPTH = 4  # labels in the tail table of sigma_packed_listing
+
+
+def sigma_packed_listing(k: int) -> MultiPoly:
+    """Sum over all (k+1)! forests of 2^(trees-1) * B^(root children) * X^(exponents).
+
+    Each forest on [k] plus the empty root is counted as one int code with
+    w bits per field: field 0 counts the trees other than the root tree,
+    field i the exponent of label i, field k+1 the empty root's children.
+    Label i adds one to the field of its father, or as a root one to field 0
+    and one to field i, so a forest's code is the sum of its labels' codes.
+    Fathers run as in forests._father_arrays; the codes of the last DEPTH
+    labels form a tail table built once per call, and each prefix code is
+    added to every tail code.  Every code is counted before any is decoded.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    w = (k + 1).bit_length()  # no field exceeds k
+    choices = [((1 << w * i) + 1, *(1 << w * f for f in range(i + 1, k + 2))) for i in range(1, k + 1)]
+    split = max(k - DEPTH, 0)
+    tails = list(map(sum, itertools.product(*choices[split:])))
+    counts: Counter[int] = Counter()
+    for head in map(sum, itertools.product(*choices[:split])):
+        counts.update(map(head.__add__, tails))
+    mask = (1 << w) - 1
+    terms: dict[TermKey, int] = {}
+    for code, n in counts.items():
+        key = (code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)]))
+        terms[key] = terms.get(key, 0) + (n << (code & mask))
+    return MultiPoly(k, terms)
+
+
+def test_collector_matches_packed_listing():
+    # every k the listing was checked over through sigma --check (10! forests at k = 9)
+    for k in range(10):
+        assert polynomial.sigma_bruteforce(k).terms == sigma_packed_listing(k).terms, k
+
+
 def test_sigma_equality():
-    for k in range(6):
+    for k in range(11):
         eq, witness = polynomial.poly_equal(polynomial.sigma_formula(k), polynomial.sigma_bruteforce(k))
-        assert eq and witness is None
+        assert eq and witness is None, (k, witness)
 
 
 def test_poly_equal_witness():
