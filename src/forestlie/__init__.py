@@ -15,8 +15,8 @@ _EXPORTS = {
                      "verify_key_identity"),
     "dyck": ("catalan", "coeff_cp", "deficit_profile", "enumerate_dyck", "path_to_vector", "vector_to_path"),
     "errors": ("SelfCheckError",),
-    "forests": ("ROOT", "Forest", "Primed", "cprime", "decorate", "enumerate_forests",
-                "expand_covariant", "fiber", "graft", "monomial", "prune"),
+    "forests": ("ROOT", "Forest", "cprime", "enumerate_forests", "expand_covariant", "fiber", "graft",
+                "monomial", "prune"),
     "operators": ("OperatorSum", "estimate_certificate", "expand_lie_forests", "expand_lie_partitions",
                   "leibniz_split", "lie_chain_oracle"),
     "partitions": ("SetPartition", "bell", "count_by_shape", "enumerate_partitions", "partition_to_path",

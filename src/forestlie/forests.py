@@ -1,9 +1,9 @@
 """Strictly decreasing rooted labeled forests on totally ordered label sets.
 
 A forest is a partial father map with father(v) > v, so the maximal label
-is always a root.  Labels are positive ints, primed positive ints (a second
-alphabet ordered below the unprimed one), and the distinguished empty root
-``ROOT`` which is maximal in any label set.  Children are recovered from
+is always a root.  label_key accepts two kinds of label: ints, ordered by
+value, and the distinguished empty root ``ROOT``, which is maximal in any
+label set; any other value raises ValueError.  Children are recovered from
 the father map and always reported in increasing label order.
 """
 
@@ -33,44 +33,12 @@ class _EmptyRoot:
 ROOT = _EmptyRoot()
 
 
-class Primed:
-    """A label from the second alphabet 1', 2', ...; orders below all ints.
-
-    An immutable value: two are equal, with equal hashes, iff their numbers are.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Primed")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Primed")
-
-    def __eq__(self, other):
-        return self.n == other.n if other.__class__ is Primed else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))  # the hash of the frozen dataclass it replaces, so set orders stay
-
-    def __reduce__(self):
-        return Primed, (self.n,)  # pickle and deepcopy rebuild through __init__
-
-    def __repr__(self) -> str:
-        return f"{self.n}'"
-
-
 def label_key(v) -> tuple[int, int]:
-    """Sort key realizing primed < unprimed < ROOT, each alphabet by value."""
-    if isinstance(v, Primed):
-        return (0, v.n)
+    """Sort key realizing ints < ROOT, the ints by value."""
     if isinstance(v, int):
-        return (1, v)
+        return (0, v)
     if v is ROOT:
-        return (2, 0)
+        return (1, 0)
     raise ValueError(f"not a forest label: {v!r}")
 
 
@@ -121,9 +89,6 @@ class Forest:
         father = self.father
         return tuple(u for u in self.labels if father.get(u) == v)
 
-    def nchild(self, v) -> int:
-        return len(self.children(v))
-
     def preorder(self) -> list:
         """Roots in increasing order, each followed by its subtree depth-first."""
 
@@ -137,7 +102,7 @@ class Forest:
 
         def node(v) -> str:
             inner = "".join(" " + node(c) for c in self.children(v))
-            return f"({v!s}{inner})"  # ROOT and Primed print as their repr
+            return f"({v!s}{inner})"  # ROOT prints as its repr
 
         return " ".join(node(r) for r in self.roots)
 
@@ -377,17 +342,3 @@ def cprime(p: Sequence[int]) -> int:
     """Sum of 2^(trees - 1) over the fiber of p; equals the product coefficient."""
     return sum(1 << (tree_count - 1) for _, tree_count in _fiber_arrays(p))
 
-
-def decorate(mu: Mapping, forest: Forest) -> Forest:
-    """Adjoin a new lower alphabet by the map mu: each new label gets its
-    image as father.  Roots are unchanged and child counts add up."""
-    label_set = set(forest.labels)
-    new = sorted(mu, key=label_key)
-    for v in new:
-        if v in label_set:
-            raise ValueError(f"decoration label {v!r} already present")
-        if forest.labels and label_key(v) >= label_key(forest.labels[0]):
-            raise ValueError(f"decoration label {v!r} must order below the forest labels")
-        if mu[v] not in label_set:
-            raise ValueError(f"decoration target {mu[v]!r} is not a node of the forest")
-    return Forest(forest.labels + tuple(new), {**forest.father, **mu})

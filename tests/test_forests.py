@@ -3,12 +3,13 @@ import itertools
 import math
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from forestlie import checks, dyck, forests
 from forestlie.errors import SelfCheckError
-from forestlie.forests import ROOT, Forest, Primed
+from forestlie.forests import ROOT, Forest
 from forestlie.partitions import SetPartition
 
 
@@ -19,26 +20,20 @@ def F(father, labels=None):
 
 
 def test_label_order():
-    ordering = sorted([ROOT, 3, Primed(9), 1, Primed(2)], key=forests.label_key)
-    assert ordering == [Primed(2), Primed(9), 1, 3, ROOT]
+    ordering = sorted([ROOT, 3, 10, 1, -2, 0], key=forests.label_key)
+    assert ordering == [-2, 0, 1, 3, 10, ROOT]
 
 
-def test_primed_is_an_immutable_value():
-    a, b = Primed(2), Primed(2)
-    assert a == b and hash(a) == hash(b) and a is not b
-    assert a != Primed(3) and a != 2 and a != (2,)
-    assert len({a, b, Primed(3)}) == 2
-    with pytest.raises(AttributeError):
-        a.n = 3
-    with pytest.raises(AttributeError):
-        a.other = 3
-    with pytest.raises(AttributeError):
-        del a.n
-    assert a.n == 2 and repr(a) == "2'" and str(a) == "2'"
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(a, protocol)) == a
-    assert copy.copy(a) == copy.deepcopy(a) == a
-    assert copy.deepcopy({a: [a]}) == {a: [a]}
+def test_non_labels_are_rejected():
+    # a label is an int or ROOT; anything else fails on every path that orders labels
+    tree = F({1: ROOT})
+    for bad in ("1", 2.5, SimpleNamespace(n=1)):  # the last stands in for a label with a number field
+        calls = [lambda: forests.label_key(bad), lambda: Forest((1, bad), {}),
+                 lambda: next(forests.enumerate_forests((3, bad, 1))),
+                 lambda: forests.expand_covariant((bad, 2)), lambda: forests.graft(tree, bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match="not a forest label"):
+                call()
 
 
 def test_forests_and_partitions_are_immutable():
@@ -67,7 +62,7 @@ def test_structure_queries():
     assert f.roots == (4, 5, 8, ROOT)
     assert f.tree_count == 4
     assert f.children(ROOT) == (3, 7)
-    assert f.nchild(3) == 1
+    assert len(f.children(3)) == 1
     assert f.text() == "(4 (1)) (5) (8 (6)) (∘ (3 (2)) (7))"
 
 
@@ -76,14 +71,14 @@ def test_values_pickle_and_copy():
     assert pickle.loads(pickle.dumps(ROOT)) is ROOT
     assert copy.copy(ROOT) is copy.deepcopy(ROOT) is ROOT
     f = F({1: 4, 6: 8, 3: ROOT, 7: ROOT, 2: 3}, labels={1, 2, 3, 4, 5, 6, 7, 8, ROOT})
-    g = forests.decorate({Primed(1): 4, Primed(2): ROOT}, f)
+    g = Forest((*f.labels, -1, 0), {**f.father, 0: 4, -1: ROOT})  # f with two labels below its own
     part = SetPartition.parse("23|146|7|589")
     for value in (Forest((), {}), f, g, part, SetPartition(())):
         copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for back in copies + [copy.copy(value), copy.deepcopy(value)]:
             assert back == value and hash(back) == hash(value) and back.text() == value.text()
     back = copy.deepcopy(g)
-    assert back.roots[-1] is ROOT and back.children(ROOT) == (Primed(2), 3, 7)
+    assert back.roots[-1] is ROOT and back.children(ROOT) == (-1, 3, 7)
     assert pickle.loads(pickle.dumps(part)).shrink() == part.shrink()
 
 
@@ -106,7 +101,7 @@ def forests_by_label_choice(labels):
 
 
 def test_enumerate_forests_matches_label_choice():
-    label_sets = [(), (1,), (3, 1, 2), (Primed(3), 2, Primed(1)), (Primed(2), 4, ROOT)]
+    label_sets = [(), (1,), (3, 1, 2), (9, 2, 5), (2, 4, ROOT)]
     for labels in label_sets + [forests.standard_labels(k) for k in range(7)]:
         assert list(forests.enumerate_forests(labels)) == list(forests_by_label_choice(labels))
 
@@ -124,8 +119,7 @@ def children_by_appending(forest):
 def test_enumerate_forests_fields_match_forest_builder():
     # Forest.__eq__ ignores dict order; every field must agree with _forest,
     # in the same insertion order, and children must agree with the reference
-    label_sets = [(), (1,), (3, 1, 2), (Primed(3), 2, Primed(1)), (Primed(2), 4, ROOT),
-                  (Primed(2), 3, Primed(1), 1, 2, ROOT)]
+    label_sets = [(), (1,), (3, 1, 2), (9, 2, 5), (2, 4, ROOT), (7, 3, 10, 1, 2, ROOT)]
     for labels in label_sets + [forests.standard_labels(k) for k in range(8)]:
         ordered = tuple(sorted(labels, key=forests.label_key))
         expected = (forests._forest(ordered, fa) for fa in forests._father_arrays(len(ordered) - 1))
@@ -168,10 +162,10 @@ def test_forest_from_indices_matches_validated_constructor():
             ref = Forest(labels, {labels[i]: labels[f - 1] for i, f in enumerate(fa) if f})
             assert (fast.labels, fast.father) == (ref.labels, ref.father)
             assert [fast.children(v) for v in fast.labels] == children_by_appending(fast)
-    primed = (Primed(1), Primed(2), 1, ROOT)
-    for fa in forests._father_arrays(len(primed) - 1):
-        fast = forests._forest(primed, fa)
-        ref = Forest(primed, {primed[i]: primed[f - 1] for i, f in enumerate(fa) if f})
+    spread = (-4, 0, 7, ROOT)
+    for fa in forests._father_arrays(len(spread) - 1):
+        fast = forests._forest(spread, fa)
+        ref = Forest(spread, {spread[i]: spread[f - 1] for i, f in enumerate(fa) if f})
         assert (fast.labels, fast.father) == (ref.labels, ref.father)
         assert [fast.children(v) for v in fast.labels] == children_by_appending(fast)
 
@@ -207,7 +201,7 @@ def test_nchild_sum_identity():
     # within any tree the child counts add up to the number of non-root nodes
     for n in range(5):
         for t in enumerate_trees(range(1, n + 1)):
-            assert sum(t.nchild(v) for v in t.labels) == n
+            assert sum(len(t.children(v)) for v in t.labels) == n
 
 
 def test_graft_display():
@@ -253,7 +247,7 @@ def expand_covariant_over_objects(labels):
 
 
 def test_expand_covariant_matches_graft_reference():
-    for labels in [range(1, n + 1) for n in range(8)] + [(Primed(2), 3, Primed(1), 1)]:
+    for labels in [range(1, n + 1) for n in range(8)] + [(7, 3, 10, 1)]:
         assert forests.expand_covariant(labels) == expand_covariant_over_objects(labels)
 
 
@@ -426,28 +420,3 @@ def test_root_nonroot_split_counts():
             d = dyck.deficit_profile(p)
             assert sum(flags) == dyck.binom(d[k - 1], p[k - 1] - 1)
             assert len(flags) - sum(flags) == dyck.binom(d[k - 1], p[k - 1])
-
-
-def test_decorate_worked_example():
-    tree = F({8: ROOT, 5: 8, 1: 5, 3: 5, 9: ROOT, 4: 9})
-    mu = {Primed(1): 8, Primed(2): 8, Primed(4): 3, Primed(6): ROOT, Primed(7): 9, Primed(9): 8}
-    decorated = forests.decorate(mu, tree)
-    assert decorated.roots == (ROOT,)
-    assert decorated.children(ROOT) == (Primed(6), 8, 9)
-    assert decorated.children(8) == (Primed(1), Primed(2), Primed(9), 5)
-    assert decorated.children(3) == (Primed(4),)
-    # child counts add: decorations aimed at a node plus its original children
-    for v in tree.labels:
-        preimage = sum(1 for t in mu.values() if t == v)
-        assert decorated.nchild(v) == preimage + tree.nchild(v)
-
-
-def test_decorate_edges():
-    tree = F({1: ROOT})
-    assert forests.decorate({}, tree) == tree
-    bigger = forests.decorate({Primed(1): ROOT}, tree)
-    assert bigger.nchild(ROOT) == tree.nchild(ROOT) + 1
-    with pytest.raises(ValueError, match="not a node"):
-        forests.decorate({Primed(1): 7}, tree)
-    with pytest.raises(ValueError, match="below"):
-        forests.decorate({2: ROOT}, tree)

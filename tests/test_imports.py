@@ -66,8 +66,8 @@ for name in forestlie.__all__:
 print(json.dumps(homes))
 """
     homes = json.loads(fresh("-c", code).stdout)
-    assert len(homes) == 39
-    assert homes["Primed"] == homes["ROOT"] == "forestlie.forests"
+    assert len(homes) == 37
+    assert homes["Forest"] == homes["ROOT"] == "forestlie.forests"
     assert homes["SelfCheckError"] == "forestlie.errors"
     assert homes["bell"] == homes["SetPartition"] == "forestlie.partitions"
 

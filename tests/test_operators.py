@@ -6,7 +6,7 @@ import pytest
 
 from forestlie import cli, dyck, forests, operators
 from forestlie.errors import SelfCheckError
-from forestlie.forests import ROOT, Primed
+from forestlie.forests import ROOT
 from forestlie.operators import OperatorSum
 from forestlie.partitions import SetPartition, bell, enumerate_partitions
 from forestlie.polynomial import MultiPoly
@@ -424,11 +424,6 @@ def test_map_recombination_via_decorate():
                         key = tuple(alpha)
                         seen[key] = seen.get(key, 0) + 1
                 assert seen == {combo: 1 for combo in itertools.product(targets, repeat=h)}
-                if h == 2:
-                    for alpha in itertools.product(targets, repeat=h):
-                        decorated = forests.decorate({Primed(p + 1): alpha[p] for p in range(h)}, f)
-                        for v in targets:
-                            assert decorated.nchild(v) == alpha.count(v) + f.nchild(v)
 
 
 def test_rejects_bad_sizes():
