@@ -8,10 +8,12 @@ mapping composition -> integer coefficient with no zero entries.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import compare
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def validate_composition(parts: Sequence[int]) -> None:
@@ -130,15 +132,21 @@ def verify_key_identity(parts: Sequence[int]) -> tuple[bool, int, Fraction]:
     factor (L_1 - 1)/(S_1 - 1) cancelled (both equal L_1 - 1), so it reads
     L_1 * prod_{j>=2} S_j / (S_j - 1); this makes the identity total, in
     particular when L_1 = 1.  Terms with L_s = 1, s >= 2 vanish with their
-    numerator.  Returns (equal, lhs, rhs).
+    numerator.  The sum is kept over one running integer denominator, the
+    product of the S_j - 1 so far, and compared with lhs by
+    cross-multiplication.  Returns (equal, lhs, rhs), rhs as a Fraction.
     """
+    from fractions import Fraction
+
     validate_composition(parts)
     lam = tuple(parts)
     lhs = partial = sum(lam)  # S_n, then S_{n-1}, ... as s falls
-    rhs, suffix = Fraction(0), Fraction(1)  # suffix = prod_{j>=s} S_j / (S_j - 1)
+    num, den, suffix = 0, 1, 1  # rhs = num/den, prod_{j>=s} S_j / (S_j - 1) = suffix/den
     for part in reversed(lam[1:]):
-        suffix *= Fraction(partial, partial - 1)
-        rhs += (part - 1) * suffix
+        num *= partial - 1
+        den *= partial - 1
+        suffix *= partial
+        num += (part - 1) * suffix
         partial -= part
-    rhs += (lam[0] if lam else 0) * suffix  # the s = 1 term, its cancelled factor left out
-    return rhs == lhs, lhs, rhs
+    num += (lam[0] if lam else 0) * suffix  # the s = 1 term, its cancelled factor left out
+    return num == lhs * den, lhs, Fraction(num, den)

@@ -9,9 +9,8 @@ every j.  Vectors are plain tuples of ints throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain, compress, count, islice
-from operator import ne
+from operator import ne, sub
 from typing import Iterator, Sequence
 
 from .errors import SelfCheckError
@@ -108,19 +107,22 @@ def coeff_cp(p: Sequence[int]) -> int:
 
     Computed as prod_j [2*binom(D_{j-1}, p_j - 1) + binom(D_{j-1}, p_j)] and
     cross-checked against the restricted rational product
-    prod_{p_j != 0} (2 + D_j/p_j) * binom(D_{j-1}, p_j - 1).
+    prod_{p_j != 0} (2 + D_j/p_j) * binom(D_{j-1}, p_j - 1), in integers:
+    the coefficient times prod_{p_j != 0} p_j must equal
+    prod_{p_j != 0} (2*p_j + D_j) * binom(D_{j-1}, p_j - 1).
     """
     d = deficit_profile(p)
-    result = 1
+    result = num = den = 1
     for j, entry in enumerate(p, start=1):
-        result *= 2 * binom(d[j - 1], entry - 1) + binom(d[j - 1], entry)
+        below = binom(d[j - 1], entry - 1)
+        result *= 2 * below + binom(d[j - 1], entry)
+        if entry:
+            num *= (2 * entry + d[j]) * below
+            den *= entry
+    if result * den != num:
+        from fractions import Fraction
 
-    alt = Fraction(1)
-    for j, entry in enumerate(p, start=1):
-        if entry != 0:
-            alt *= (2 + Fraction(d[j], entry)) * binom(d[j - 1], entry - 1)
-    if alt != result:
-        raise SelfCheckError(f"coefficient formulas disagree for {tuple(p)}: {result} vs {alt}")
+        raise SelfCheckError(f"coefficient formulas disagree for {tuple(p)}: {result} vs {Fraction(num, den)}")
     return result
 
 
@@ -200,6 +202,8 @@ def _walk_blocks(k: int) -> Iterator[Iterator[tuple[tuple[int, ...], int, int]]]
             continue
         yield islice(rows, bad)
         tail, _, tc, tn, tm = levels[depth][d][bad]
+        from fractions import Fraction
+
         raise SelfCheckError(f"coefficient formulas disagree for {p + tail}: "
                              f"{c * tc} vs {Fraction(n * tn, m * tm)}")
 
@@ -209,20 +213,23 @@ def coefficient_table(k: int) -> dict[tuple[int, ...], int]:
     return {p: c for p, _, c in walk(k)}
 
 
-def validate_path(steps: Sequence[int]) -> None:
-    """Check a 0/1 step sequence is a balanced path staying weakly below the diagonal."""
-    east = north = 0
+def validate_path(steps: Sequence[int]) -> list[int]:
+    """Check a 0/1 step sequence is a balanced path staying weakly below the
+    diagonal, and return the number of North steps before each East step."""
+    north = 0
+    heights: list[int] = []
     for i, s in enumerate(steps, start=1):
         if s == EAST:
-            east += 1
+            heights.append(north)
         elif s == NORTH:
             north += 1
+            if north > len(heights):  # only a North step can break the prefix condition
+                raise ValueError(f"malformed path: prefix violation at step {i} (North steps exceed East steps)")
         else:
             raise ValueError(f"malformed path: step {i} = {s!r} is not 0 (East) or 1 (North)")
-        if north > east:
-            raise ValueError(f"malformed path: prefix violation at step {i} (North steps exceed East steps)")
-    if east != north:
-        raise ValueError(f"malformed path: {east} East steps vs {north} North steps")
+    if len(heights) != north:
+        raise ValueError(f"malformed path: {len(heights)} East steps vs {north} North steps")
+    return heights
 
 
 def vector_to_path(p: Sequence[int]) -> tuple[int, ...]:
@@ -248,15 +255,8 @@ def path_to_vector(steps: Sequence[int]) -> tuple[int, ...]:
     """Decode a path to its Dyck vector: vertical run lengths, omitting the last.
 
     Inverse of vector_to_path; a path with m East steps yields a vector of
-    length m - 1, and the empty path yields the empty vector.
+    length m - 1, and the empty path yields the empty vector.  The run after
+    an East step is the rise in the North count up to the next East step.
     """
-    validate_path(steps)
-    if len(steps) == 0:
-        return ()
-    runs: list[int] = []
-    for s in steps:
-        if s == EAST:
-            runs.append(0)
-        else:
-            runs[-1] += 1
-    return tuple(runs[:-1])
+    heights = validate_path(steps)
+    return tuple(map(sub, heights[1:], heights[:-1]))

@@ -61,11 +61,8 @@ class Forest:
                 raise ValueError(f"father of {v!r} is {f!r}, not a label")
             if keys[f] <= keys[v]:
                 raise ValueError(f"father must be strictly larger: father({v!r}) = {f!r}")
-        self._set(labels, father)
-
-    def _set(self, labels: tuple, father: dict) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "father", father)
+        _set_labels(self, labels)
+        _set_father(self, father)
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
@@ -116,6 +113,10 @@ class Forest:
         return f"Forest[{self.text()}]"
 
 
+# the slot descriptors set a Forest's two fields past its __setattr__, which refuses
+_set_labels, _set_father = Forest.labels.__set__, Forest.father.__set__
+
+
 @lru_cache(maxsize=None)
 def standard_labels(k: int) -> tuple:
     """The label set [k] plus the empty root."""
@@ -143,7 +144,8 @@ def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     if len(fa) != max(n - 1, 0):
         raise SelfCheckError(f"{len(fa)} father indices for {n} labels")
     forest = Forest.__new__(Forest)
-    forest._set(labels, _block(labels, 0, fa))
+    _set_labels(forest, labels)
+    _set_father(forest, _block(labels, 0, fa))
     return forest
 
 
@@ -205,7 +207,8 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
         father = _block(ordered, 0, fa)
         for tail in tails:
             forest = Forest.__new__(Forest)
-            forest._set(ordered, father | tail)
+            _set_labels(forest, ordered)
+            _set_father(forest, father | tail)
             yield forest
 
 

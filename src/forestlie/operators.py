@@ -21,11 +21,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from operator import add
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from . import dyck, forests
+from . import dyck
 from .errors import compare
-from .partitions import enumerate_partitions
+
+
+def __getattr__(name: str):
+    # operators.enumerate_partitions is partitions.enumerate_partitions, imported on
+    # first use, so that estimate, which expands nothing, loads no partitions module
+    if name == "enumerate_partitions":
+        from .partitions import enumerate_partitions
+
+        globals()[name] = enumerate_partitions  # later lookups skip this function
+        return enumerate_partitions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OperatorSum:
@@ -123,6 +135,8 @@ def expand_lie_partitions(k: int) -> OperatorSum:
 def _forests_closed(k: int) -> dict[tuple[int, ...], int]:
     """Every forest on [k] plus the empty root, keyed by its father indices
     and signed by its tree count (one more than its zeros)."""
+    from . import forests
+
     return {fa: -1 if fa.count(0) % 2 else 1 for fa in forests._father_arrays(k)}
 
 
@@ -131,9 +145,10 @@ def _forests_from_partitions(k: int) -> dict[tuple[int, ...], int]:
     every non-trailing block becomes one decreasing tree on its elements, the
     trailing block (k+1, its maximum, standing for the empty root) the tree
     hanging from the empty root.  Inside a block each element but the maximum
-    picks a larger element of the block as its father."""
+    picks a larger element of the block as its father.  The partitions come
+    from operators.enumerate_partitions, read at call time."""
     out: dict[tuple[int, ...], int] = {}
-    for part in enumerate_partitions(k + 1):
+    for part in sys.modules[__name__].enumerate_partitions(k + 1):
         sign = 1 if len(part.blocks) % 2 else -1
         choices: list = [None] * (k + 1)
         for block in part.blocks:
@@ -147,6 +162,8 @@ def _forests_from_partitions(k: int) -> dict[tuple[int, ...], int]:
 def _lie_forests(k: int) -> dict[tuple[int, ...], int]:
     """The forest expansion keyed by father indices: the closed form, checked
     against the partition refinement."""
+    from . import forests
+
     closed = _forests_closed(k)
     compare("forest expansion", closed, _forests_from_partitions(k), forests._text)
     return closed
@@ -161,6 +178,8 @@ def expand_lie_forests(k: int) -> OperatorSum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    from . import forests
+
     return _rendered(_lie_forests(k), forests._text)
 
 
@@ -193,6 +212,8 @@ def lie_chain_oracle(k: int) -> OperatorSum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    from . import forests
+
     state = _lie_chain(k)
     compare("oracle", state, _lie_forests(k), forests._text)
     return _rendered(state, forests._text)
@@ -251,17 +272,7 @@ def estimate_certificate(k: int, h: int) -> list[EstimateRow]:
     """
     if k < 1 or h < 0:
         raise ValueError("need k >= 1 and h >= 0")
-    rows = []
     splits = list(weak_compositions(h, k + 1))
-    for p, final_deficit, coeff in dyck.walk(k):
-        for hs in splits:
-            rows.append(
-                EstimateRow(
-                    p=p,
-                    h=hs,
-                    coeff=coeff,
-                    a_order=hs[k] + final_deficit,
-                    xi_orders=tuple(hs[j] + p[j] for j in range(k)),
-                )
-            )
-    return rows
+    # map(add, hs, p) stops with p, so it leaves out the tensor part hs[k]
+    return [EstimateRow(p, hs, coeff, hs[k] + final_deficit, tuple(map(add, hs, p)))
+            for p, final_deficit, coeff in dyck.walk(k) for hs in splits]

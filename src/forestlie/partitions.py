@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import ne
 from typing import Iterator, Sequence
 
 from .compositions import validate_composition
@@ -58,14 +59,14 @@ class SetPartition:
         k = len(seen)
         if seen and seen != set(range(1, k + 1)):
             raise ValueError(f"blocks do not cover [{k}]: got {sorted(seen)}")
-        object.__setattr__(self, "blocks", tuple(normalized))
+        _set_blocks(self, tuple(normalized))
 
     @classmethod
     def _normal(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
         """The partition with these blocks, which must already be in normal
         order and cover [k]; nothing is checked."""
         part = object.__new__(cls)
-        object.__setattr__(part, "blocks", blocks)
+        _set_blocks(part, blocks)
         return part
 
     def __setattr__(self, name, value):
@@ -119,6 +120,10 @@ class SetPartition:
 
     def __repr__(self) -> str:
         return f"SetPartition({self.text()!r})"
+
+
+# the slot descriptor sets the field past SetPartition.__setattr__, which refuses
+_set_blocks = SetPartition.blocks.__set__
 
 
 def enumerate_partitions(k: int) -> Iterator[SetPartition]:
@@ -189,17 +194,17 @@ def partition_to_path(part: SetPartition) -> list[tuple[int, ...]]:
 
     The m-th shrink drops the element m from its block and an emptied block
     with it; the other blocks keep their order, so the walk runs on the block
-    lengths alone.
+    lengths alone, each shape being the lengths that are not yet 0.
     """
-    lengths = list(part.shape())
-    block_of = [0] * (part.size + 1)
+    lengths = list(map(len, part.blocks))
+    block_of = [0] * (sum(lengths) + 1)
     for j, b in enumerate(part.blocks):
         for e in b:
             block_of[e] = j
     shapes = [tuple(lengths)]
-    for m in range(1, part.size + 1):
-        lengths[block_of[m]] -= 1
-        shapes.append(tuple(n for n in lengths if n))
+    for j in block_of[1:]:  # the block of each element m = 1, 2, ... in turn
+        lengths[j] -= 1
+        shapes.append(tuple(filter(None, lengths)))
     shapes.reverse()
     return shapes
 
@@ -222,13 +227,14 @@ def path_to_partition(path: Sequence[Sequence[int]]) -> SetPartition:
     blocks: list[list[int]] = []
     for i in range(1, len(steps)):
         prev, cur = steps[i - 1], steps[i]
-        if cur == (1,) + prev:
-            blocks.insert(0, [k - i + 1])
-        elif len(cur) == len(prev):
-            diffs = [j for j in range(len(prev)) if cur[j] != prev[j]]
-            if len(diffs) != 1 or cur[diffs[0]] != prev[diffs[0]] + 1:
+        if len(cur) == len(prev):
+            changed = list(map(ne, cur, prev))
+            j = changed.index(True) if changed.count(True) == 1 else None
+            if j is None or cur[j] != prev[j] + 1:
                 raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
-            blocks[diffs[0]].append(k - i + 1)
+            blocks[j].append(k - i + 1)
+        elif cur == (1,) + prev:
+            blocks.insert(0, [k - i + 1])
         else:
             raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
-    return SetPartition._normal(tuple(tuple(reversed(b)) for b in blocks))
+    return SetPartition._normal(tuple(map(tuple, map(reversed, blocks))))

@@ -28,6 +28,16 @@ class MultiPoly:
             for (bdeg, expo), coeff in terms.items():
                 self.add_term(coeff, bdeg, expo)
 
+    @classmethod
+    def _built(cls, nvars: int, terms: dict[TermKey, int]) -> "MultiPoly":
+        """The polynomial that owns these terms, whose keys a builder made:
+        distinct (d, p) with d >= 0 and p a tuple of nvars nonnegative ints,
+        each with a nonzero coefficient; nothing is checked or copied."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
     def add_term(self, coeff: int, bdeg: int, expo: Sequence[int]) -> None:
         expo = tuple(expo)
         if len(expo) != self.nvars:
@@ -81,10 +91,7 @@ class MultiPoly:
 
 def sigma_formula(k: int) -> MultiPoly:
     """Sum over Dyck vectors of coeff * B^(final deficit) * X^p."""
-    out = MultiPoly(k)
-    for p, final_deficit, coeff in dyck.walk(k):
-        out.add_term(coeff, final_deficit, p)
-    return out
+    return MultiPoly._built(k, {(final_deficit, p): coeff for p, final_deficit, coeff in dyck.walk(k)})
 
 
 def sigma_bruteforce(k: int) -> MultiPoly:
@@ -109,8 +116,8 @@ def sigma_bruteforce(k: int) -> MultiPoly:
                 nxt[code + step] = nxt.get(code + step, 0) + n
         counts = nxt
     mask = (1 << w) - 1
-    return MultiPoly(k, {(code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)])): n
-                         for code, n in counts.items()})
+    return MultiPoly._built(k, {(code >> w * (k + 1), tuple([code >> w * i & mask for i in range(1, k + 1)])): n
+                                for code, n in counts.items()})
 
 
 def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int, int] | None]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -114,6 +115,49 @@ def test_key_identity_matches_nested_reference():
     for k in range(11):
         for lam in compositions.enumerate_compositions(k):
             assert compositions.verify_key_identity(lam) == nested_key_identity(lam), lam
+
+
+def key_identity_over_fractions(parts):
+    """verify_key_identity with its running sum and suffix product held as
+    Fractions, the form the running integer denominator replaced, kept as its
+    reference."""
+    compositions.validate_composition(parts)
+    lam = tuple(parts)
+    lhs = partial = sum(lam)
+    rhs, suffix = Fraction(0), Fraction(1)
+    for part in reversed(lam[1:]):
+        suffix *= Fraction(partial, partial - 1)
+        rhs += (part - 1) * suffix
+        partial -= part
+    rhs += (lam[0] if lam else 0) * suffix
+    return rhs == lhs, lhs, rhs
+
+
+def test_key_identity_matches_fraction_reference():
+    # every composition the key_identity check covers, k <= 10; rhs stays a Fraction
+    for k in range(11):
+        for lam in compositions.enumerate_compositions(k):
+            got = compositions.verify_key_identity(lam)
+            assert got == key_identity_over_fractions(lam), lam
+            assert type(got[2]) is Fraction
+
+
+def test_key_identity_off_compositions(monkeypatch):
+    # with validation off, on every sequence over -1..3 up to length 4 (parts
+    # of 0 and -1, denominators of 0 and below): the same verdict and rhs, or
+    # both divide by zero; the sum telescopes, so where defined it holds
+    monkeypatch.setattr(compositions, "validate_composition", lambda parts: None)
+    outcomes = set()
+    for lam in [lam for n in range(5) for lam in itertools.product((-1, 0, 1, 2, 3), repeat=n)]:
+        results = []
+        for kernel in (compositions.verify_key_identity, key_identity_over_fractions):
+            try:
+                results.append(kernel(lam))
+            except ZeroDivisionError:
+                results.append(ZeroDivisionError)
+        assert results[0] == results[1], lam
+        outcomes.add(results[0] if results[0] is ZeroDivisionError else results[0][0])
+    assert outcomes == {True, ZeroDivisionError}
 
 
 def test_enumerate_paths_counts():

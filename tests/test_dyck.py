@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import zip_longest
+from fractions import Fraction
+from itertools import product, zip_longest
 
 import pytest
 
@@ -155,6 +156,57 @@ def test_malformed_paths():
         dyck.path_to_vector((0, 2))
 
 
+def validate_path_by_counts(steps):
+    """validate_path as it was before it returned the North counts, kept as its reference."""
+    east = north = 0
+    for i, s in enumerate(steps, start=1):
+        if s == dyck.EAST:
+            east += 1
+        elif s == dyck.NORTH:
+            north += 1
+        else:
+            raise ValueError(f"malformed path: step {i} = {s!r} is not 0 (East) or 1 (North)")
+        if north > east:
+            raise ValueError(f"malformed path: prefix violation at step {i} (North steps exceed East steps)")
+    if east != north:
+        raise ValueError(f"malformed path: {east} East steps vs {north} North steps")
+
+
+def path_to_vector_by_runs(steps):
+    """The run-counting loop that path_to_vector replaced, kept as its reference."""
+    validate_path_by_counts(steps)
+    if len(steps) == 0:
+        return ()
+    runs: list[int] = []
+    for s in steps:
+        if s == dyck.EAST:
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    return tuple(runs[:-1])
+
+
+def outcome(fn, *args):
+    """("ok", what fn returns) or ("ValueError", the text it raises)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_path_decoding_matches_run_loop():
+    # every path of the path_roundtrip check of verify, k <= 8
+    for k in range(9):
+        for p in dyck.enumerate_dyck(k):
+            path = dyck.vector_to_path(p)
+            assert dyck.path_to_vector(path) == path_to_vector_by_runs(path) == p
+    # every step sequence over {0, 1, 2} up to length 8, and steps that are not
+    # ints: the same vector or the same ValueError text, which validate_path raises
+    odd = [(0, True), (0, 1.0), (0, "1"), (0, None, 1), (1.0,), ([0], 1)]
+    for seq in [seq for n in range(9) for seq in product((0, 1, 2), repeat=n)] + odd:
+        assert outcome(dyck.path_to_vector, seq) == outcome(path_to_vector_by_runs, seq), seq
+
+
 def test_binom_is_total():
     assert dyck.binom(3, -1) == 0
     assert dyck.binom(3, 4) == 0
@@ -217,6 +269,52 @@ def test_coeff_cp_cross_check_is_caught(monkeypatch, capsys):
     assert cli.main(["coeff", "--p", "0,1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def coeff_cp_over_fractions(p):
+    """coeff_cp with its restricted rational product over Fraction, the form
+    the integer cross-multiplication replaced, kept as its reference."""
+    d = dyck.deficit_profile(p)
+    result = 1
+    for j, entry in enumerate(p, start=1):
+        result *= 2 * dyck.binom(d[j - 1], entry - 1) + dyck.binom(d[j - 1], entry)
+
+    alt = Fraction(1)
+    for j, entry in enumerate(p, start=1):
+        if entry != 0:
+            alt *= (2 + Fraction(d[j], entry)) * dyck.binom(d[j - 1], entry - 1)
+    if alt != result:
+        raise SelfCheckError(f"coefficient formulas disagree for {tuple(p)}: {result} vs {alt}")
+    return result
+
+
+def test_coeff_cp_matches_fraction_reference():
+    # every Dyck vector up to k = 8
+    for k in range(9):
+        for p in dyck.enumerate_dyck(k):
+            assert dyck.coeff_cp(p) == coeff_cp_over_fractions(p), p
+
+
+def test_integer_cross_check_decides_as_fractions_do(monkeypatch):
+    # each deficit D_j of every vector up to k = 6 moved by -1 and +1: both
+    # cross-checks pass with the same value or fail with the same message
+    right = dyck.deficit_profile
+    seen = {"passed": 0, "failed": 0}
+    for k in range(7):
+        for p in dyck.enumerate_dyck(k):
+            for j, delta in product(range(k + 1), (-1, 1)):
+                d = list(right(p))
+                d[j] += delta
+                monkeypatch.setattr(dyck, "deficit_profile", lambda q, d=tuple(d): d)
+                results = []
+                for kernel in (dyck.coeff_cp, coeff_cp_over_fractions):
+                    try:
+                        results.append(kernel(p))
+                    except SelfCheckError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (p, d)
+                seen["failed" if isinstance(results[0], str) else "passed"] += 1
+    assert seen["passed"] and seen["failed"], seen
 
 
 def test_walk_edge_cases():

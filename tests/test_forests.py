@@ -129,6 +129,32 @@ def test_enumerate_forests_fields_match_forest_builder():
             assert [got.children(v) for v in got.labels] == children_by_appending(got)
 
 
+def forest_by_setattr(labels, father):
+    """A Forest whose fields Forest._set wrote through object.__setattr__, the
+    form the slot descriptors replaced, kept as their reference."""
+    forest = Forest.__new__(Forest)
+    object.__setattr__(forest, "labels", labels)
+    object.__setattr__(forest, "father", father)
+    return forest
+
+
+def test_slot_descriptors_match_setattr_reference():
+    # every forest the builders make on [k] plus the empty root, k <= 7, and one
+    # through the validating constructor: the same fields, equality and hash
+    for k in range(8):
+        labels = forests.standard_labels(k)
+        built = itertools.chain(forests.enumerate_forests(labels),
+                                (forests._forest(labels, fa) for fa in forests._father_arrays(k)))
+        for got in built:
+            ref = forest_by_setattr(labels, dict(got.father))
+            assert got.labels == labels and type(got.labels) is tuple and type(got.father) is dict
+            assert got == ref and hash(got) == hash(ref)
+    got = Forest([3, ROOT, 1, 2], {1: 3, 2: ROOT})
+    assert got == forest_by_setattr((1, 2, 3, ROOT), {1: 3, 2: ROOT})
+    with pytest.raises(AttributeError, match="immutable"):
+        got.father = {}
+
+
 def test_enumerate_forests_streams():
     # a materialized list of the 40,320 forests on [7] plus the empty root would take tens of MB
     tracemalloc.start()

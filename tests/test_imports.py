@@ -54,6 +54,23 @@ def test_commands_load_no_checks_and_no_pool(argv):
     assert not loaded & {"forestlie.checks", *HEAVY}
 
 
+def test_estimate_loads_only_dyck_and_operators():
+    # the lie expansions import forests and partitions when they run
+    loaded = modules_after("from forestlie import cli\nassert cli.main(['estimate', '--k', '2', '--h', '1']) == 0")
+    assert {name for name in KERNELS if f"forestlie.{name}" in loaded} == {"dyck", "operators"}
+
+
+@pytest.mark.parametrize("argv", [["coeff", "--p", "0,1"], ["dyck", "--k", "3", "--coeffs"],
+                                  ["clambda", "--lambda", "1,2"], ["pullback", "--k", "3"],
+                                  ["sigma", "--k", "2", "--check"], ["lie", "--k", "2", "--check"],
+                                  ["estimate", "--k", "1", "--h", "1"]],
+                         ids=" ".join)
+def test_only_verify_loads_fractions(argv):
+    # Fraction is imported only where a cross-check message or a return value needs one
+    loaded = modules_after(f"from forestlie import cli\nassert cli.main({argv!r}) == 0")
+    assert not loaded & {"fractions", "decimal"}
+
+
 def test_public_names_are_their_home_objects():
     code = """
 import importlib, json, forestlie

@@ -401,6 +401,36 @@ def test_estimate_certificate_counts_and_h0_table():
         assert h0 == expected
 
 
+def estimate_certificate_by_rows(k, h):
+    """The row loop that estimate_certificate replaced, with keyword rows and
+    a generator per xi_orders, kept as its reference."""
+    if k < 1 or h < 0:
+        raise ValueError("need k >= 1 and h >= 0")
+    rows = []
+    splits = list(operators.weak_compositions(h, k + 1))
+    for p, final_deficit, coeff in dyck.walk(k):
+        for hs in splits:
+            rows.append(
+                operators.EstimateRow(
+                    p=p,
+                    h=hs,
+                    coeff=coeff,
+                    a_order=hs[k] + final_deficit,
+                    xi_orders=tuple(hs[j] + p[j] for j in range(k)),
+                )
+            )
+    return rows
+
+
+def test_estimate_certificate_matches_row_loop():
+    # every (k, h) with k <= 6 and h <= 3, which covers the estimate_counts check of verify
+    for k in range(1, 7):
+        for h in range(4):
+            rows = operators.estimate_certificate(k, h)
+            assert rows == estimate_certificate_by_rows(k, h), (k, h)
+            assert all(type(r) is operators.EstimateRow for r in rows)
+
+
 def test_map_recombination_via_decorate():
     # splitting h marks over the trees of a forest and then over each tree's
     # nodes recombines to exactly the maps [h] -> nodes(F), each once

@@ -156,6 +156,89 @@ def test_unchecked_builders_match_validated_references():
             assert partitions.path_to_partition(path).blocks == path_to_partition_over_objects(path).blocks
 
 
+def partition_to_path_by_generators(part):
+    """partition_to_path before the zero lengths were dropped by filter, kept as its reference."""
+    lengths = list(part.shape())
+    block_of = [0] * (part.size + 1)
+    for j, b in enumerate(part.blocks):
+        for e in b:
+            block_of[e] = j
+    shapes = [tuple(lengths)]
+    for m in range(1, part.size + 1):
+        lengths[block_of[m]] -= 1
+        shapes.append(tuple(n for n in lengths if n))
+    shapes.reverse()
+    return shapes
+
+
+def path_to_partition_by_index_lists(path):
+    """path_to_partition before the changed part was found through
+    map(ne, ...), kept as its reference."""
+    steps = [tuple(lam) for lam in path]
+    if not steps or steps[0] != ():
+        raise ValueError("not a valid path: must start with the empty composition")
+    k = len(steps) - 1
+    blocks: list[list[int]] = []
+    for i in range(1, len(steps)):
+        prev, cur = steps[i - 1], steps[i]
+        if cur == (1,) + prev:
+            blocks.insert(0, [k - i + 1])
+        elif len(cur) == len(prev):
+            diffs = [j for j in range(len(prev)) if cur[j] != prev[j]]
+            if len(diffs) != 1 or cur[diffs[0]] != prev[diffs[0]] + 1:
+                raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
+            blocks[diffs[0]].append(k - i + 1)
+        else:
+            raise ValueError(f"not a valid path: step {i} ({prev} -> {cur})")
+    return SetPartition._normal(tuple(tuple(reversed(b)) for b in blocks))
+
+
+def path_outcome(path):
+    """The blocks path_to_partition and its reference build, or the texts of their ValueErrors."""
+    out = []
+    for decode in (partitions.path_to_partition, path_to_partition_by_index_lists):
+        try:
+            out.append(decode(path).blocks)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_bijection_kernels_match_references():
+    # the ranges of the partition_bijection check of verify: partitions k <= 8, paths k <= 7
+    for k in range(9):
+        for part in partitions.enumerate_partitions(k):
+            path = partitions.partition_to_path(part)
+            assert path == partition_to_path_by_generators(part)
+            new, old = path_outcome(path)
+            assert new == old == part.blocks
+    for k in range(8):
+        for path in compositions.enumerate_paths(k):
+            new, old = path_outcome(path)
+            assert new == old
+            part = SetPartition._normal(new)
+            assert partitions.partition_to_path(part) == partition_to_path_by_generators(part) == path
+
+
+def test_invalid_paths_raise_as_the_reference_does():
+    # an empty step after a nonempty one, and every step of every path to k <= 5
+    # replaced by each composition of i - 1, i or i + 1 (i the step's number)
+    assert path_outcome([(), (1,), ()]) == ["not a valid path: step 2 ((1,) -> ())"] * 2
+    assert path_outcome([(1,)]) == path_outcome([]) == ["not a valid path: must start with the empty composition"] * 2
+    errors = total = 0
+    for k in range(1, 6):
+        for path in compositions.enumerate_paths(k):
+            for i in range(1, k + 1):
+                for n in (i - 1, i, i + 1):
+                    for lam in compositions.enumerate_compositions(n):
+                        bad = path[:i] + [lam] + path[i + 1:]
+                        new, old = path_outcome(bad)
+                        assert new == old, bad
+                        errors += isinstance(new, str)
+                        total += 1
+    assert 0 < errors < total, (errors, total)
+
+
 def test_count_by_shape():
     assert partitions.count_by_shape((1, 2)) == 2
     assert partitions.count_by_shape((2, 2)) == 3

@@ -172,3 +172,23 @@ def test_rejects_bad_terms():
         MultiPoly(2).add_term(1, 0, (1,))
     with pytest.raises(ValueError, match="negative"):
         MultiPoly(1).add_term(1, -1, (0,))
+
+
+def test_builders_make_terms_the_validating_constructor_keeps():
+    # sigma_formula and sigma_bruteforce hand their dicts over unchecked; each
+    # key must pass add_term unchanged, with no zero coefficient to drop
+    for k in range(10):
+        for poly in (polynomial.sigma_formula(k), polynomial.sigma_bruteforce(k)):
+            rebuilt = MultiPoly(k, poly.terms)
+            assert rebuilt == poly and list(rebuilt.terms) == list(poly.terms), k
+            assert all(type(expo) is tuple for _, expo in poly.terms)
+
+
+def test_public_constructor_still_validates():
+    for terms, message in [({(0, (1,)): 1}, "entries"), ({(-1, (0, 0)): 1}, "negative"),
+                           ({(0, (0, -1)): 1}, "negative")]:
+        with pytest.raises(ValueError, match=message):
+            MultiPoly(2, terms)
+        with pytest.raises(ValueError, match=message):
+            MultiPoly(2).add_term(1, *next(iter(terms)))
+    assert MultiPoly(2, {(0, (1, 0)): 0, (1, (0, 1)): 3}).terms == {(1, (0, 1)): 3}
