@@ -7,7 +7,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import dyck
-from .errors import first_difference
 
 TermKey = tuple[int, tuple[int, ...]]  # (power of B, exponent vector)
 
@@ -120,12 +119,13 @@ def sigma_bruteforce(k: int) -> MultiPoly:
                                 for code, n in counts.items()})
 
 
-def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int, int] | None]:
-    """Exact equality; on failure also return (term key, coeff in a, coeff in b)
-    for the canonically first differing term."""
-    witness = first_difference(a.terms, b.terms)
-    if witness is not None:
-        return False, witness
+def poly_equal(a: MultiPoly, b: MultiPoly) -> tuple[bool, tuple[TermKey, int | None, int | None] | None]:
+    """Exact equality, as ``==``: the same terms and the same variable count.
+    On failure also return (term key, coeff in a, coeff in b) for the
+    canonically first term that differs, None for a side that lacks it."""
+    if a.terms != b.terms:
+        key = min(key for key in a.terms.keys() | b.terms.keys() if a.terms.get(key) != b.terms.get(key))
+        return False, (key, a.terms.get(key), b.terms.get(key))
     if a.nvars != b.nvars:  # same terms but different declared variable counts
         return False, ((0, ()), a.nvars, b.nvars)
     return True, None

@@ -29,6 +29,7 @@ GOLDEN_CASES = {
     "lie-ascii": ["lie", "--k", "1", "--ascii"],
     "estimate": ["estimate", "--k", "1", "--h", "1"],
     "verify": ["verify", "--max-k", "1"],
+    "verify-full": ["verify"],
 }
 
 
@@ -235,6 +236,19 @@ def test_check_registry():
         "fiber_example", "sigma_equality", "covariant_chain", "lie_partitions", "lie_oracle",
         "estimate_counts", "leibniz_grouping"]
     assert all(isinstance(name, str) and callable(fn) for name, fn in checks.CHECKS)  # (name, fn) pairs
+
+
+def test_every_check_function_is_registered_once_under_its_own_name():
+    # a check_* function that lost its @_check decorator is missing from CHECKS
+    defined = sorted(name for name, fn in vars(checks).items()
+                     if name.startswith("check_") and callable(fn) and fn.__module__ == checks.__name__)
+    assert sorted("check_" + name for name, _ in checks.CHECKS) == defined
+    for name, fn in checks.CHECKS:
+        assert getattr(checks, "check_" + name) is fn
+        assert fn.__name__ == fn.__qualname__ == "check_" + name
+    for max_k in (0, 3, 99):
+        for name in dict(checks.CHECKS):
+            assert dict(checks.CHECKS)[name](max_k) == checks.run(name, max_k), (name, max_k)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

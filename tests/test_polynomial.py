@@ -139,6 +139,19 @@ def test_poly_equal_witness():
     assert polynomial.poly_equal(MultiPoly(2), MultiPoly(2)) == (True, None)
 
 
+def test_poly_equal_is_exact():
+    # a stored zero is a term the empty polynomial lacks: unequal, as under ==
+    zero = MultiPoly._built(1, {(0, (1,)): 0})
+    assert zero != MultiPoly(1)
+    assert polynomial.poly_equal(zero, MultiPoly(1)) == (False, ((0, (1,)), 0, None))
+    assert polynomial.poly_equal(MultiPoly(1), zero) == (False, ((0, (1,)), None, 0))
+    assert polynomial.poly_equal(MultiPoly(1, SIGMA_1), MultiPoly(1, {(1, (0,)): 1})) == (
+        False, ((0, (1,)), 2, None))
+    assert polynomial.poly_equal(MultiPoly(1), MultiPoly(2)) == (False, ((0, ()), 1, 2))
+    for a, b in itertools.product([zero, MultiPoly(1), MultiPoly(1, SIGMA_1), MultiPoly(2)], repeat=2):
+        assert polynomial.poly_equal(a, b)[0] == (a == b)
+
+
 def test_specialization_counts_weighted_forests():
     for k in range(6):
         weighted = sum(2 ** (f.tree_count - 1)
