@@ -130,15 +130,14 @@ def check_partition_bijection(max_k: int):
         yield (k, "reverse"), partitions.bell(k), good
 
 
-# The two forest checks run on the public Forest objects, not on father
-# tuples.  forest_counts counts what enumerate_forests yields; it joins the
-# father map of each prefix of father choices to a table of tail father maps,
-# and forests._block rejects a father index outside i < f <= n in every prefix
-# and every tail, so a wrong count or an invalid forest from the enumerator
-# fails here.  A forest is only its father map: forest_identities runs the
-# public monomial, which counts children and roots in one pass over that map,
-# and prune, which neither the label-by-label forest sum of
-# polynomial.sigma_bruteforce nor forests._text go through.
+# The two forest checks run on the public Forest objects.  forest_counts
+# counts what enumerate_forests yields, one forest per product of the labels'
+# father choices, and forests._check_indices rejects a choice outside
+# i < f <= n once per call, so a wrong count or an invalid forest from the
+# enumerator fails here.  forest_identities runs the public monomial, which
+# counts children and roots on a forest's father indices, and prune, which
+# neither the label-by-label forest sum of polynomial.sigma_bruteforce nor
+# forests._text go through.
 @_check("forest_count[k={}]")
 def check_forest_counts(max_k: int):
     for k in range(min(max_k, 7) + 1):

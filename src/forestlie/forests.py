@@ -3,21 +3,22 @@
 A forest is a partial father map with father(v) > v, so the maximal label
 is always a root.  label_key accepts two kinds of label: ints, ordered by
 value, and the distinguished empty root ``ROOT``, which is maximal in any
-label set; any other value raises ValueError.  Children are recovered from
-the father map and always reported in increasing label order.
+label set; any other value raises ValueError.  A Forest stores its sorted
+labels and the tuple fa of father indices that every kernel here runs on:
+fa[i-1] is 0 if the i-th label is a root, else the 1-based index of its
+father; the maximal label has no entry.  Children are always reported in
+increasing label order.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dyck import validate_dyck
 from .errors import SelfCheckError, compare
-
-DEPTH = 3  # labels in each tail block of enumerate_forests
 
 
 class _EmptyRoot:
@@ -43,9 +44,9 @@ def label_key(v) -> tuple[int, int]:
 
 
 class Forest:
-    """Immutable strictly decreasing forest given by labels and a father map."""
+    """Immutable strictly decreasing forest, stored as sorted labels and father indices fa."""
 
-    __slots__ = ("labels", "father")
+    __slots__ = ("labels", "fa")
 
     def __init__(self, labels: Iterable, father: Mapping):
         labels = tuple(labels)
@@ -53,16 +54,18 @@ class Forest:
         if len(keys) != len(labels):
             raise ValueError("duplicate labels")
         labels = tuple(sorted(keys, key=keys.__getitem__))
-        father = dict(father)
-        for v, f in father.items():
-            if v not in keys:
+        index = dict(zip(labels, range(1, len(labels) + 1)))
+        fa = [0] * max(len(labels) - 1, 0)
+        for v, f in dict(father).items():
+            if v not in index:
                 raise ValueError(f"father map defined on {v!r} which is not a label")
-            if f not in keys:
+            if f not in index:
                 raise ValueError(f"father of {v!r} is {f!r}, not a label")
-            if keys[f] <= keys[v]:
+            if index[f] <= index[v]:  # labels are sorted, so indices order as the labels do
                 raise ValueError(f"father must be strictly larger: father({v!r}) = {f!r}")
+            fa[index[v] - 1] = index[f]
         _set_labels(self, labels)
-        _set_father(self, father)
+        _set_fa(self, tuple(fa))
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
@@ -74,17 +77,23 @@ class Forest:
         return Forest, (self.labels, self.father)  # pickle and copy rebuild through __init__
 
     @property
+    def father(self) -> dict:
+        """A fresh father map in label order; changing it leaves the forest as it is."""
+        labels = self.labels
+        return {labels[i]: labels[f - 1] for i, f in enumerate(self.fa) if f}
+
+    @property
     def roots(self) -> tuple:
-        return tuple(v for v in self.labels if v not in self.father)
+        return tuple(v for v, f in zip(self.labels, self.fa) if not f) + self.labels[-1:]
 
     @property
     def tree_count(self) -> int:
-        return len(self.labels) - len(self.father)
+        return len(self.labels) - len(self.fa) + self.fa.count(0)
 
     def children(self, v) -> tuple:
         """The labels whose father is v, in label order, found afresh on each call."""
-        father = self.father
-        return tuple(u for u in self.labels if father.get(u) == v)
+        j = self.labels.index(v) + 1 if v in self.labels else None  # a non-label has no children
+        return tuple(u for u, f in zip(self.labels, self.fa) if f == j)
 
     def preorder(self) -> list:
         """Roots in increasing order, each followed by its subtree depth-first."""
@@ -96,31 +105,41 @@ class Forest:
 
     def text(self) -> str:
         """Canonical nested form, one group per tree ordered by root label."""
-
-        def node(v) -> str:
-            inner = "".join(" " + node(c) for c in self.children(v))
-            return f"({v!s}{inner})"  # ROOT prints as its repr
-
-        return " ".join(node(r) for r in self.roots)
+        return _render(["", *(f"({v!s}" for v in self.labels)], self.fa)  # ROOT prints as its repr
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.labels == other.labels and self.father == other.father
+        return isinstance(other, Forest) and self.labels == other.labels and self.fa == other.fa
 
     def __hash__(self) -> int:
-        return hash((self.labels, frozenset(self.father.items())))
+        return hash((self.labels, self.fa))
 
     def __repr__(self) -> str:
         return f"Forest[{self.text()}]"
 
 
 # the slot descriptors set a Forest's two fields past its __setattr__, which refuses
-_set_labels, _set_father = Forest.labels.__set__, Forest.father.__set__
+_set_labels, _set_fa = Forest.labels.__set__, Forest.fa.__set__
 
 
 @lru_cache(maxsize=None)
 def standard_labels(k: int) -> tuple:
     """The label set [k] plus the empty root."""
     return tuple(range(1, k + 1)) + (ROOT,)
+
+
+def _choices(n: int) -> list[tuple[int, ...]]:
+    """The father indices of the i-th of n labels, i < n: root (0) first, then i+1..n."""
+    return [(0, *range(i + 1, n + 1)) for i in range(1, n)]
+
+
+def _check_indices(labels: tuple, pairs: Iterable[tuple[int, int]]) -> None:
+    """Each pair (i, f) is a father index f of the i-th label (1-based), 0 for
+    a root; a father must satisfy i < f <= n.  The program makes every index,
+    so one outside is a bug (SelfCheckError)."""
+    n = len(labels)
+    for i, f in pairs:
+        if f and not i < f <= n:
+            raise SelfCheckError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
 
 
 def _father_arrays(k: int) -> Iterator[tuple[int, ...]]:
@@ -130,23 +149,28 @@ def _father_arrays(k: int) -> Iterator[tuple[int, ...]]:
     i+1..k+1, where k+1 stands for the empty root.  The first entry varies
     slowest and each runs through 0, i+1, ..., k+1; (k+1)! tuples in all.
     """
-    return itertools.product(*[(0, *range(i + 1, k + 2)) for i in range(1, k + 1)])
+    return itertools.product(*_choices(k + 1))
+
+
+def _new(labels: tuple, fa: tuple) -> Forest:
+    forest = Forest.__new__(Forest)
+    _set_labels(forest, labels)
+    _set_fa(forest, fa)
+    return forest
 
 
 def _forest(labels: tuple, fa: Sequence[int]) -> Forest:
     """The forest on the sorted, distinct labels whose father indices
     (1-based into labels, 0 for a root) are fa; the maximal label has no entry.
 
-    Built without the label comparisons of Forest(): _block checks that the
-    father of the i-th label is a later one, i < f <= n, on the indices.
+    Built without the label comparisons of Forest(): _check_indices checks
+    that the father of the i-th label is a later one, i < f <= n.
     """
     n = len(labels)
     if len(fa) != max(n - 1, 0):
         raise SelfCheckError(f"{len(fa)} father indices for {n} labels")
-    forest = Forest.__new__(Forest)
-    _set_labels(forest, labels)
-    _set_father(forest, _block(labels, 0, fa))
-    return forest
+    _check_indices(labels, enumerate(fa, 1))
+    return _new(labels, tuple(fa))
 
 
 @lru_cache(maxsize=None)
@@ -154,36 +178,22 @@ def _node_openings(k: int) -> tuple[str, ...]:
     return tuple(f"({v}" for v in range(k + 1)) + ("(∘",)
 
 
-def _text(fa: Sequence[int]) -> str:
-    """Forest.text() of the forest on [k] plus the empty root with father indices fa."""
-    k = len(fa)
-    node = list(_node_openings(k))
+def _render(node: list, fa: Sequence[int]) -> str:
+    """The nested text of a forest whose i-th label opens as node[i] (node[0]
+    is unused) and whose father indices are fa; node is consumed."""
     roots = []
-    for i, f in enumerate(fa, 1):  # i's children are smaller, so already appended
+    for i, f in zip(range(1, len(node)), (*fa, 0)):  # i's children are smaller, so already closed
         closed = node[i] + ")"
         if f:
             node[f] += " " + closed
         else:
             roots.append(closed)
-    roots.append(node[k + 1] + ")")
     return " ".join(roots)
 
 
-def _block(labels: tuple, start: int, fa: Sequence[int]) -> dict:
-    """The father map, in label order, of the labels start+1, start+2, ...
-    (1-based) whose father indices are fa.
-
-    Each father index f of the i-th label must satisfy i < f <= n; the
-    program makes every fa, so one outside is a bug (SelfCheckError).
-    """
-    n = len(labels)
-    father = {}
-    for i, f in enumerate(fa, start + 1):
-        if f:
-            if not i < f <= n:
-                raise SelfCheckError(f"father index {f} of label {labels[i - 1]!r} is not in {i + 1}..{n}")
-            father[labels[i - 1]] = labels[f - 1]
-    return father
+def _text(fa: Sequence[int]) -> str:
+    """Forest.text() of the forest on [k] plus the empty root with father indices fa."""
+    return _render(list(_node_openings(len(fa))), fa)
 
 
 def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
@@ -191,25 +201,15 @@ def enumerate_forests(labels: Iterable) -> Iterator[Forest]:
 
     Each node independently picks a strictly larger father or stays a root;
     choices run root-first, fathers in increasing order, as in _father_arrays.
-    The fathers of the last DEPTH non-maximal labels form the tail: every
-    choice of them is built once per call (_block), and each choice of the
-    fathers before them is joined to every tail by merging father maps.
-    Each forest has the fields that _forest gives it.
+    Every label's choices are index-checked once per call, so each forest is
+    built from checked indices with the fields that _forest gives it.
     """
     ordered = tuple(sorted(labels, key=label_key))
     if len(set(ordered)) != len(ordered):
         raise ValueError("duplicate labels")
-    n = len(ordered)
-    split = max(n - 1 - DEPTH, 0)  # the prefix sets the fathers of labels 1..split
-    choices = [(0, *range(i + 1, n + 1)) for i in range(1, n)]
-    tails = [_block(ordered, split, fa) for fa in itertools.product(*choices[split:])]
-    for fa in itertools.product(*choices[:split]):
-        father = _block(ordered, 0, fa)
-        for tail in tails:
-            forest = Forest.__new__(Forest)
-            _set_labels(forest, ordered)
-            _set_father(forest, father | tail)
-            yield forest
+    choices = _choices(len(ordered))
+    _check_indices(ordered, ((i, f) for i, fs in enumerate(choices, 1) for f in fs))
+    yield from map(partial(_new, ordered), itertools.product(*choices))
 
 
 def graft(tree: Forest, j) -> list[Forest]:
@@ -255,10 +255,10 @@ def expand_covariant(labels: Iterable) -> list[Forest]:
 
 def _exponents(forest: Forest) -> dict:
     """Child count, plus one at roots, of every label in label order."""
-    expo = dict.fromkeys(forest.labels, 1)  # each label is a root until it passes its one to its father
-    for v, f in forest.father.items():
-        expo[v] -= 1
-        expo[f] += 1
+    labels = forest.labels
+    expo = dict.fromkeys(labels, 0)
+    for v, f in zip(labels, (*forest.fa, 0)):  # one at the father, or at v itself when v is a root
+        expo[labels[f - 1] if f else v] += 1
     return expo
 
 
@@ -283,11 +283,8 @@ def prune(forest: Forest) -> Forest:
         raise ValueError("prune requires labels [k] plus the empty root")
     if k == 0:
         raise ValueError("cannot prune the bare root")
-    fa = []  # father indices on [k-1] plus the empty root, which is index k
-    for v in range(1, k):
-        f = forest.father.get(v)
-        fa.append(0 if f is None else k if (f is ROOT or f == k) else f)
-    return _forest(standard_labels(k - 1), fa)
+    # on [k-1] plus the empty root, which is index k, a father k or k+1 becomes k: min(f, k)
+    return _forest(standard_labels(k - 1), [f if f < k else k for f in forest.fa[:-1]])
 
 
 def _fiber_arrays(p: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:

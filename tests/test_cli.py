@@ -267,9 +267,9 @@ def test_verify_reports_a_broken_block_as_a_failing_row(capsys, monkeypatch, job
     # an invalid father index from inside the program is a bug, not bad input:
     # the three checks that build forests on 4 labels fail, every other row stays
     _, good, _ = run(capsys, "verify", "--max-k", "3")
-    right = forests._block
-    monkeypatch.setattr(forests, "_block",
-                        lambda labels, start, fa: right(labels, start, (1,) if len(labels) == 4 else fa))
+    right = forests._check_indices
+    monkeypatch.setattr(forests, "_check_indices",
+                        lambda labels, pairs: right(labels, [(1, 1)] if len(labels) == 4 else pairs))
     code, out, err = run(capsys, "verify", "--max-k", "3", "--jobs", jobs)
     assert code == 1
     message = "expected consistency, got father index 1 of label 1 is not in 2..4"

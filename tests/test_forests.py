@@ -47,6 +47,25 @@ def test_forests_and_partitions_are_immutable():
     assert f.text() == "(∘ (2 (1)))" and part.blocks == ((2,), (1, 3))
 
 
+def test_father_map_is_a_copy():
+    # the father map a forest hands out is fresh: changing it changes neither
+    # the forest, its hash, its text nor its place in a set
+    f = Forest((1, 2, ROOT), {1: 2})
+    seen, before = {f}, (hash(f), f.text())
+    father = f.father
+    father[2] = 1
+    father[1] = ROOT
+    assert f.father == {1: 2} and f.fa == (2, 0)
+    assert (hash(f), f.text()) == before == (hash(Forest((1, 2, ROOT), {1: 2})), "(2 (1)) (∘)")
+    assert f in seen and f in {f}
+
+
+def test_children_of_a_non_label_is_empty():
+    f = Forest((1, 2, 3), {1: 3})
+    assert f.children(99) == () and f.children(ROOT) == () and f.children("x") == ()
+    assert f.children(3) == (1,) and f.children(2) == ()
+
+
 def test_forest_validation():
     with pytest.raises(ValueError, match="strictly larger"):
         Forest((1, 2), {2: 1})
@@ -129,12 +148,12 @@ def test_enumerate_forests_fields_match_forest_builder():
             assert [got.children(v) for v in got.labels] == children_by_appending(got)
 
 
-def forest_by_setattr(labels, father):
+def forest_by_setattr(labels, fa):
     """A Forest whose fields Forest._set wrote through object.__setattr__, the
     form the slot descriptors replaced, kept as their reference."""
     forest = Forest.__new__(Forest)
     object.__setattr__(forest, "labels", labels)
-    object.__setattr__(forest, "father", father)
+    object.__setattr__(forest, "fa", fa)
     return forest
 
 
@@ -146,11 +165,11 @@ def test_slot_descriptors_match_setattr_reference():
         built = itertools.chain(forests.enumerate_forests(labels),
                                 (forests._forest(labels, fa) for fa in forests._father_arrays(k)))
         for got in built:
-            ref = forest_by_setattr(labels, dict(got.father))
-            assert got.labels == labels and type(got.labels) is tuple and type(got.father) is dict
+            ref = forest_by_setattr(labels, tuple(got.fa))
+            assert got.labels == labels and type(got.labels) is tuple and type(got.fa) is tuple
             assert got == ref and hash(got) == hash(ref)
     got = Forest([3, ROOT, 1, 2], {1: 3, 2: ROOT})
-    assert got == forest_by_setattr((1, 2, 3, ROOT), {1: 3, 2: ROOT})
+    assert got == forest_by_setattr((1, 2, 3, ROOT), (3, 4, 0))
     with pytest.raises(AttributeError, match="immutable"):
         got.father = {}
 
@@ -164,13 +183,6 @@ def test_enumerate_forests_streams():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
-
-
-def test_forest_block_rejects_bad_indices():
-    labels = forests.standard_labels(3)  # n = 4
-    for start, fa in [(0, (1,)), (0, (2, 2)), (0, (5,)), (2, (3,)), (2, (5,)), (1, (4, 0, -1))]:
-        with pytest.raises(SelfCheckError, match="father index"):
-            forests._block(labels, start, fa)
 
 
 def test_enumerate_forests_edges():

@@ -87,6 +87,13 @@ def test_forest_pickle_roundtrip(fa):
         assert g == f and g.text() == f.text() and g.labels[-1] is ROOT
 
 
+@given(father_arrays())
+def test_forest_stores_its_father_indices(fa):
+    # the father map's conversion to indices in Forest() agrees with the stored form
+    f = forest_of(fa)
+    assert f.fa == fa and Forest(f.labels, f.father) == f
+
+
 @given(father_arrays(min_k=1))
 def test_prune_drops_last_exponent(fa):
     f = forest_of(fa)
