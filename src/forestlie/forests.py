@@ -7,7 +7,9 @@ label set; any other value raises ValueError.  A Forest stores its sorted
 labels and the tuple fa of father indices that every kernel here runs on:
 fa[i-1] is 0 if the i-th label is a root, else the 1-based index of its
 father; the maximal label has no entry.  Children are always reported in
-increasing label order.
+increasing label order; every walk is the stack walk _preorder on fa.  One
+rule checks fa: enumerate_forests and expand_covariant check each label's
+choices once per call; fiber, prune and graft check each forest by _forest.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ ROOT = _EmptyRoot()
 
 def label_key(v) -> tuple[int, int]:
     """Sort key realizing ints < ROOT, the ints by value."""
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):  # True == 1 would print as True
         return (0, v)
     if v is ROOT:
         return (1, 0)
@@ -97,11 +99,7 @@ class Forest:
 
     def preorder(self) -> list:
         """Roots in increasing order, each followed by its subtree depth-first."""
-
-        def visit(v) -> list:
-            return [v, *(w for c in self.children(v) for w in visit(c))]
-
-        return [w for r in self.roots for w in visit(r)]
+        return [self.labels[i - 1] for i in _preorder(self.fa, len(self.labels))]
 
     def text(self) -> str:
         """Canonical nested form, one group per tree ordered by root label."""
@@ -130,6 +128,18 @@ def standard_labels(k: int) -> tuple:
 def _choices(n: int) -> list[tuple[int, ...]]:
     """The father indices of the i-th of n labels, i < n: root (0) first, then i+1..n."""
     return [(0, *range(i + 1, n + 1)) for i in range(1, n)]
+
+
+def _preorder(fa: Sequence[int], n: int) -> Iterator[int]:
+    """Indices 1..n of the forest with father indices fa in preorder, roots and
+    children in increasing order, by a stack walk that reaches any depth."""
+    kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[0] holds the roots
+    for i, f in zip(range(1, n + 1), (*fa, 0)):
+        kids[f].append(i)
+    stack = kids[0][::-1]
+    while stack:
+        yield (i := stack.pop())
+        stack += kids[i][::-1]
 
 
 def _check_indices(labels: tuple, pairs: Iterable[tuple[int, int]]) -> None:
@@ -222,44 +232,32 @@ def graft(tree: Forest, j) -> list[Forest]:
         raise ValueError("graft expects a tree (exactly one root)")
     if any(label_key(j) >= label_key(v) for v in tree.labels):
         raise ValueError(f"graft label {j!r} must be smaller than every node")
-    out = []
-    for v in tree.preorder():
-        out.append(Forest(tree.labels + (j,), {**tree.father, j: v}))
-    return out
+    shifted = [f + 1 for f in tree.fa]  # j comes first, so every index moves up one
+    return [_forest((j, *tree.labels), (i + 1, *shifted)) for i in _preorder(tree.fa, len(tree.labels))]
 
 
 def expand_covariant(labels: Iterable) -> list[Forest]:
     """Iterate grafting over the labels in decreasing order from the bare root.
 
     The result is checked to be exactly the trees on the label set, each
-    produced once.  The chain runs on father indices into the sorted labels
-    (n+1 for the empty root), as graft would: grafting j below v makes j the
-    first child of v, so j follows v in the preorder of the new tree.
+    produced once.  The chain runs as graft does, on father indices into the
+    sorted labels (n+1 for the empty root).
     """
     ordered = sorted(labels, key=label_key)
     for v, w in zip(ordered, ordered[1:] + [ROOT]):
         if label_key(v) >= label_key(w):
             raise ValueError(f"graft label {v!r} must be smaller than every node")
     n = len(ordered)
-    trees = [((), (n + 1,))]  # (father indices of labels j..n, preorder)
-    for j in range(n, 0, -1):
-        trees = [((v, *fa), pre[:i + 1] + (j,) + pre[i + 1:]) for fa, pre in trees for i, v in enumerate(pre)]
-    got = [fa for fa, _ in trees]
     nodes = (*ordered, ROOT)
     # every tree on the labels plus the empty root, once: label i picks a father among i+1..n+1
-    expected = itertools.product(*[range(i + 1, n + 2) for i in range(1, n + 1)])
-    compare("grafting expansion", Counter(got), dict.fromkeys(expected, 1),
+    choices = [fs[1:] for fs in _choices(n + 1)]
+    _check_indices(nodes, ((i, f) for i, fs in enumerate(choices, 1) for f in fs))
+    got = [()]  # father indices of labels j..n
+    for j in range(n, 0, -1):
+        got = [(j + i, *fa) for fa in got for i in _preorder([f - j for f in fa], n + 1 - j)]
+    compare("grafting expansion", Counter(got), dict.fromkeys(itertools.product(*choices), 1),
             text=lambda fa: _forest(nodes, fa).text())
-    return [_forest(nodes, fa) for fa in got]
-
-
-def _exponents(forest: Forest) -> dict:
-    """Child count, plus one at roots, of every label in label order."""
-    labels = forest.labels
-    expo = dict.fromkeys(labels, 0)
-    for v, f in zip(labels, (*forest.fa, 0)):  # one at the father, or at v itself when v is a root
-        expo[labels[f - 1] if f else v] += 1
-    return expo
+    return [_new(nodes, fa) for fa in got]
 
 
 def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
@@ -271,8 +269,10 @@ def monomial(forest: Forest) -> tuple[tuple[int, ...], int, int]:
     k = len(forest.labels) - 1
     if forest.labels != standard_labels(k):
         raise ValueError("monomial requires labels [k] plus the empty root")
-    *expo, root = _exponents(forest).values()  # one pass; the empty root comes last and is a root
-    return tuple(expo), forest.tree_count, root - 1
+    expo = [0] * (k + 2)  # by index; the empty root, k+1, has no entry, so its count is its children
+    for i, f in enumerate(forest.fa, 1):
+        expo[f or i] += 1  # one at the father, or at i itself when i is a root
+    return tuple(expo[1:-1]), forest.tree_count, expo[-1]
 
 
 def prune(forest: Forest) -> Forest:

@@ -51,7 +51,7 @@ class SetPartition:
             if not b:
                 raise ValueError("blocks must be nonempty")
             for e in b:
-                if not isinstance(e, int) or e < 1:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                     raise ValueError(f"element {e!r} is not a positive integer")
                 if e in seen:
                     raise ValueError(f"element {e} appears in two blocks")

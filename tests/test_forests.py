@@ -27,13 +27,16 @@ def test_label_order():
 def test_non_labels_are_rejected():
     # a label is an int or ROOT; anything else fails on every path that orders labels
     tree = F({1: ROOT})
-    for bad in ("1", 2.5, SimpleNamespace(n=1)):  # the last stands in for a label with a number field
+    for bad in ("1", 2.5, SimpleNamespace(n=1), True):  # the third stands in for a label with a number field
         calls = [lambda: forests.label_key(bad), lambda: Forest((1, bad), {}),
                  lambda: next(forests.enumerate_forests((3, bad, 1))),
                  lambda: forests.expand_covariant((bad, 2)), lambda: forests.graft(tree, bad)]
         for call in calls:
             with pytest.raises(ValueError, match="not a forest label"):
                 call()
+    # True == 1 and hashes as 1, but would print as True
+    with pytest.raises(ValueError, match="True is not a positive integer"):
+        SetPartition([[True, 2]])
 
 
 def test_forests_and_partitions_are_immutable():
@@ -133,6 +136,32 @@ def children_by_appending(forest):
         if v in forest.father:
             children[forest.father[v]].append(v)
     return [tuple(children[v]) for v in forest.labels]
+
+
+def preorder_by_children(forest):
+    """The reference preorder: each root, then the subtree of each child that
+    children() reports, walked recursively."""
+
+    def visit(v):
+        return [v, *(w for c in forest.children(v) for w in visit(c))]
+
+    return [w for r in forest.roots for w in visit(r)]
+
+
+def test_preorder_matches_children_walk():
+    for labels in [forests.standard_labels(k) for k in range(8)] + [(-4, 0, 7, ROOT)]:
+        for f in forests.enumerate_forests(labels):
+            assert f.preorder() == preorder_by_children(f)
+
+
+def test_deep_chain_walks_without_recursion():
+    # 1,500 labels below the empty root, each the only child of the next: deeper than the recursion limit
+    labels = forests.standard_labels(1500)
+    chain = Forest(labels, dict(zip(labels, labels[1:])))
+    assert chain.preorder() == [ROOT, *range(1500, 0, -1)]
+    grafted = forests.graft(chain, 0)
+    assert len(grafted) == 1501 and grafted[0].father[0] is ROOT and grafted[-1].father[0] == 1
+    assert chain.text() == " ".join(["(∘", *(f"({v}" for v in range(1500, 0, -1))]) + ")" * 1501
 
 
 def test_enumerate_forests_fields_match_forest_builder():
@@ -264,6 +293,22 @@ def test_graft_edges():
         forests.graft(F({1: 2}, labels={1, 2, 3}), 0)
 
 
+def graft_through_forest(tree, j):
+    """The reference graft: j below each node of the recursive preorder, its
+    father merged into the father map and built through Forest()."""
+    return [Forest(tree.labels + (j,), {**tree.father, j: v}) for v in preorder_by_children(tree)]
+
+
+def test_graft_matches_forest_reference():
+    # every tree on up to 6 labels: on [k] plus the empty root, on 2..n+1, and on -4, 0, 7 plus the root
+    hosts = [(t, 0) for k in range(6) for t in enumerate_trees(range(1, k + 1))]
+    hosts += [(t, 1) for n in range(1, 7) for t in forests.enumerate_forests(range(2, n + 2)) if t.tree_count == 1]
+    hosts += [(t, -5) for t in enumerate_trees((-4, 0, 7))]
+    assert len(hosts) == 2 * sum(math.factorial(n) for n in range(6)) + 6
+    for tree, j in hosts:
+        assert forests.graft(tree, j) == graft_through_forest(tree, j)
+
+
 def test_expand_covariant():
     assert forests.expand_covariant(()) == [Forest((ROOT,), {})]
     assert len(forests.expand_covariant({1})) == 1
@@ -277,10 +322,10 @@ def test_expand_covariant():
 
 
 def expand_covariant_over_objects(labels):
-    """The reference grafting chain over Forest objects, by forests.graft."""
+    """The reference grafting chain over Forest objects, by graft_through_forest."""
     trees = [Forest((ROOT,), {})]
     for j in sorted(labels, key=forests.label_key, reverse=True):
-        trees = [g for t in trees for g in forests.graft(t, j)]
+        trees = [g for t in trees for g in graft_through_forest(t, j)]
     return trees
 
 
@@ -296,10 +341,26 @@ def test_text_matches_forest_objects():
             assert forests._text(fa) == forests._forest(labels, fa).text()
 
 
+def exponents_by_label(forest):
+    """The reference exponents: the child count, plus one at roots, of every
+    label in label order."""
+    labels = forest.labels
+    expo = dict.fromkeys(labels, 0)
+    for v, f in zip(labels, (*forest.fa, 0)):  # one at the father, or at v itself when v is a root
+        expo[labels[f - 1] if f else v] += 1
+    return expo
+
+
 def test_monomial_nine_node_tree():
     tree = F({3: 9, 6: 9, 8: 9, 2: 3, 1: 8, 5: 8})
-    expo = {v: e for v, e in forests._exponents(tree).items() if v is not ROOT}
-    assert expo == {1: 0, 2: 0, 3: 1, 5: 0, 6: 0, 8: 2, 9: 4}
+    assert exponents_by_label(tree) == {1: 0, 2: 0, 3: 1, 5: 0, 6: 0, 8: 2, 9: 4}
+
+
+def test_monomial_matches_exponent_reference():
+    for k in range(8):
+        for f in forests.enumerate_forests(forests.standard_labels(k)):
+            *expo, root = exponents_by_label(f).values()  # the empty root comes last and is a root
+            assert forests.monomial(f) == (tuple(expo), f.tree_count, root - 1)
 
 
 def test_monomial_forest_examples():

@@ -94,6 +94,17 @@ def test_forest_stores_its_father_indices(fa):
     assert f.fa == fa and Forest(f.labels, f.father) == f
 
 
+@given(father_arrays())
+def test_preorder_matches_children_walk(fa):
+    # the recursive reference walk of test_forests.preorder_by_children
+    f = forest_of(fa)
+
+    def visit(v):
+        return [v, *(w for c in f.children(v) for w in visit(c))]
+
+    assert f.preorder() == [w for r in f.roots for w in visit(r)]
+
+
 @given(father_arrays(min_k=1))
 def test_prune_drops_last_exponent(fa):
     f = forest_of(fa)
